@@ -22,13 +22,13 @@ from .graph import (DataSplit, Graph, classification_accuracy, load_graph,
                     split_nodes, synth_sbm)
 from .experiment import (DatasetConfig, ExperimentConfig, ResultRow,
                          build_dataset, low_size_fraction, parse_config,
-                         report_distribution, run_sweep, runtime_profile)
-from .perturb import (Perturbation, apply_perturbation, matrix_to_vector,
-                      num_pairs, relax_perturbation, triu_pairs,
-                      vector_to_matrix)
+                         prepare_cell, report_distribution, run_attack,
+                         run_sweep, runtime_profile)
+from .perturb import (Perturbation, apply_perturbation, num_pairs,
+                      relax_perturbation, triu_pairs, vector_to_matrix)
 from .smoothing import (Certificate, NoiseSpec, SmoothingConfig,
-                        certified_size, certify_nodes, exact_smoothed_prob,
-                        exact_smoothed_probs, lower_bound_prob,
+                        certificates_from_counts, certified_size,
+                        certify_nodes, exact_smoothed_probs, lower_bound_prob,
                         mc_counts_evasion, mc_counts_poisoning, mix_seed,
                         sample_noise, worst_case_retained,
                         write_certificates_csv)

@@ -20,7 +20,7 @@ from .graph import DataSplit, Graph, classification_accuracy
 from .perturb import (Perturbation, apply_perturbation, num_pairs,
                       relax_perturbation, triu_pairs)
 from .smoothing import (Certificate, NoiseSpec, SmoothingConfig,
-                        _certificates_from_counts, mc_counts_evasion,
+                        certificates_from_counts, mc_counts_evasion,
                         mc_counts_poisoning, mix_seed)
 
 WEIGHT_SCHEMES = ("uniform", "random", "degree", "centrality", "certified")
@@ -214,10 +214,72 @@ def discretize(relaxed: np.ndarray, budget: int, trials: int,
     return best
 
 
-def _scatter(weights, targets, n):
-    full = np.zeros(n)
-    full[targets] = weights
-    return full
+def _attack_loop(graph: Graph, targets: np.ndarray, labels: np.ndarray,
+                 model: GCNParams, config: AttackConfig, certify, evaluate,
+                 model_step=None,
+                 record_trajectory: bool = False) -> AttackReport:
+    """Weighted projected-gradient ascent on the relaxed perturbation.
+
+    The certified scheme refreshes its weights every refresh_interval
+    iterations from certify(snapshot) -> label counts on the binarized
+    snapshot of the current perturbation; other schemes compute their
+    weights once.  model_step(model, delta, w_full) -> model, when given,
+    runs before each ascent step.  evaluate(binary) -> (pre, post) scores
+    the discretized perturbation.
+    """
+    start = time.perf_counter()
+    A = graph.adjacency
+    delta = np.zeros(graph.num_pairs)
+    losses = np.zeros(config.iterations)
+    masses = np.zeros(config.iterations)
+    weights_history = []
+    trajectory = [] if record_trajectory else None
+    cert_seconds = 0.0
+    w_targets = None
+    for t in range(config.iterations):
+        if config.scheme.tag == "certified":
+            if t % config.refresh_interval == 0:
+                tick = time.perf_counter()
+                snapshot = apply_perturbation(
+                    A, top_delta_binary(delta, config.budget))
+                certs = certificates_from_counts(certify(snapshot), targets,
+                                                 labels, config.noise,
+                                                 config.smoothing)
+                cert_seconds += time.perf_counter() - tick
+                w_targets = node_weights(config.scheme, certs, graph, targets)
+                weights_history.append((t, w_targets))
+        elif w_targets is None:
+            w_targets = node_weights(config.scheme, None, graph, targets)
+            weights_history.append((0, w_targets))
+        w_full = np.zeros(graph.n)
+        w_full[targets] = w_targets
+        if model_step is not None:
+            model = model_step(model, delta, w_full)
+        loss, _, _, g_delta = gradients(model, A, delta, graph.features,
+                                        labels, w_full, targets, config.loss)
+        losses[t] = loss
+        step = config.step_size * max(config.budget, 1) / np.sqrt(t + 1.0)
+        delta = project_budget(delta + step * g_delta, config.budget)
+        masses[t] = delta.sum()
+        if record_trajectory:
+            trajectory.append(delta.copy())
+
+    def attack_objective(binary):
+        return cr_loss(model, apply_perturbation(A, binary), graph, targets,
+                       w_targets, config.loss, labels=labels)
+
+    rng = np.random.default_rng(mix_seed(config.seed, 0xD15C))
+    binary = discretize(delta, config.budget, config.discretize_trials, rng,
+                        attack_objective)
+    pre, post = evaluate(binary)
+    return AttackReport(
+        perturbation=Perturbation(delta, config.budget, binary),
+        pre_attack_accuracy=pre, post_attack_accuracy=post,
+        per_iteration_loss=losses, per_iteration_mass=masses,
+        weights_history=weights_history,
+        attack_seconds=time.perf_counter() - start,
+        cert_seconds=cert_seconds,
+        delta_trajectory=np.asarray(trajectory) if record_trajectory else None)
 
 
 def pgd_evasion(params: GCNParams, graph: Graph, split: DataSplit,
@@ -231,66 +293,20 @@ def pgd_evasion(params: GCNParams, graph: Graph, split: DataSplit,
     compute their weights once.  The uniform scheme is exactly the plain
     PGD base attack.
     """
-    start = time.perf_counter()
     targets = split.test
     if targets.size == 0:
         raise ParameterError("evasion attack needs a non-empty test mask")
-    A = graph.adjacency
-    m = graph.num_pairs
-    delta = np.zeros(m)
-    losses = np.zeros(config.iterations)
-    masses = np.zeros(config.iterations)
-    weights_history = []
-    trajectory = [] if record_trajectory else None
-    cert_seconds = 0.0
-    w_targets = None
-    for t in range(config.iterations):
-        if config.scheme.tag == "certified":
-            if t % config.refresh_interval == 0:
-                tick = time.perf_counter()
-                snapshot = apply_perturbation(
-                    A, top_delta_binary(delta, config.budget))
-                counts = mc_counts_evasion(params, snapshot, graph.features,
-                                           targets, config.noise,
-                                           config.smoothing)
-                certs = _certificates_from_counts(counts, targets,
-                                                  graph.labels, config.noise,
-                                                  config.smoothing,
-                                                  r_max=2000)
-                cert_seconds += time.perf_counter() - tick
-                w_targets = node_weights(config.scheme, certs, graph, targets)
-                weights_history.append((t, w_targets))
-        elif w_targets is None:
-            w_targets = node_weights(config.scheme, None, graph, targets)
-            weights_history.append((0, w_targets))
-        w_full = _scatter(w_targets, targets, graph.n)
-        loss, _, _, g_delta = gradients(params, A, delta, graph.features,
-                                        graph.labels, w_full, targets,
-                                        config.loss)
-        losses[t] = loss
-        step = config.step_size * max(config.budget, 1) / np.sqrt(t + 1.0)
-        delta = project_budget(delta + step * g_delta, config.budget)
-        masses[t] = delta.sum()
-        if record_trajectory:
-            trajectory.append(delta.copy())
 
-    def attack_objective(binary):
-        return cr_loss(params, apply_perturbation(A, binary), graph, targets,
-                       w_targets, config.loss)
+    def certify(snapshot):
+        return mc_counts_evasion(params, snapshot, graph.features, targets,
+                                 config.noise, config.smoothing)
 
-    rng = np.random.default_rng(mix_seed(config.seed, 0xD15C))
-    binary = discretize(delta, config.budget, config.discretize_trials, rng,
-                        attack_objective)
-    pre, post = evaluate_attack(graph, split, binary, "evasion",
-                                params=params)
-    return AttackReport(
-        perturbation=Perturbation(delta, config.budget, binary),
-        pre_attack_accuracy=pre, post_attack_accuracy=post,
-        per_iteration_loss=losses, per_iteration_mass=masses,
-        weights_history=weights_history,
-        attack_seconds=time.perf_counter() - start,
-        cert_seconds=cert_seconds,
-        delta_trajectory=np.asarray(trajectory) if record_trajectory else None)
+    def evaluate(binary):
+        return evaluate_attack(graph, split, binary, "evasion", params=params)
+
+    return _attack_loop(graph, targets, graph.labels, params, config,
+                        certify, evaluate,
+                        record_trajectory=record_trajectory)
 
 
 def minmax_poisoning(graph: Graph, split: DataSplit,
@@ -307,78 +323,33 @@ def minmax_poisoning(graph: Graph, split: DataSplit,
     test labels; the reported accuracies come from a separate clean
     retraining evaluation.
     """
-    start = time.perf_counter()
     targets = split.train
-    A = graph.adjacency
     labels_masked = np.where(np.isin(np.arange(graph.n), targets),
                              graph.labels, -1)
-    m = graph.num_pairs
-    delta = np.zeros(m)
     theta = init_params(graph.features.shape[1], train_config.hidden_dim,
                         graph.num_classes, mix_seed(config.seed, 0x7E7A))
-    losses = np.zeros(config.iterations)
-    masses = np.zeros(config.iterations)
-    weights_history = []
-    trajectory = [] if record_trajectory else None
-    cert_seconds = 0.0
-    w_targets = None
-    for t in range(config.iterations):
-        if config.scheme.tag == "certified":
-            if t % config.refresh_interval == 0:
-                tick = time.perf_counter()
-                snapshot = apply_perturbation(
-                    A, top_delta_binary(delta, config.budget))
-                counts = mc_counts_poisoning(snapshot, graph.features,
-                                             labels_masked, targets,
-                                             train_config, targets,
-                                             config.noise, config.smoothing,
-                                             graph.num_classes)
-                certs = _certificates_from_counts(counts, targets,
-                                                  labels_masked, config.noise,
-                                                  config.smoothing,
-                                                  r_max=2000)
-                cert_seconds += time.perf_counter() - tick
-                w_targets = node_weights(config.scheme, certs, graph, targets)
-                weights_history.append((t, w_targets))
-        elif w_targets is None:
-            w_targets = node_weights(config.scheme, None, graph, targets)
-            weights_history.append((0, w_targets))
-        w_full = _scatter(w_targets, targets, graph.n)
-        relaxed_adj = relax_perturbation(A, delta)
+
+    def certify(snapshot):
+        return mc_counts_poisoning(snapshot, graph.features, labels_masked,
+                                   targets, train_config, targets,
+                                   config.noise, config.smoothing,
+                                   graph.num_classes)
+
+    def model_step(theta, delta, w_full):
+        relaxed_adj = relax_perturbation(graph.adjacency, delta)
         _, gW1, gW2 = param_gradients(theta, relaxed_adj, graph.features,
                                       labels_masked, w_full, targets,
                                       config.loss)
-        theta = GCNParams(theta.W1 - config.inner_step_size * gW1,
-                          theta.W2 - config.inner_step_size * gW2)
-        loss, _, _, g_delta = gradients(theta, A, delta, graph.features,
-                                        labels_masked, w_full, targets,
-                                        config.loss)
-        losses[t] = loss
-        step = config.step_size * max(config.budget, 1) / np.sqrt(t + 1.0)
-        delta = project_budget(delta + step * g_delta, config.budget)
-        masses[t] = delta.sum()
-        if record_trajectory:
-            trajectory.append(delta.copy())
+        return GCNParams(theta.W1 - config.inner_step_size * gW1,
+                         theta.W2 - config.inner_step_size * gW2)
 
-    final_theta = theta
+    def evaluate(binary):
+        return evaluate_attack(graph, split, binary, "poisoning",
+                               train_config=train_config)
 
-    def attack_objective(binary):
-        return cr_loss(final_theta, apply_perturbation(A, binary), graph,
-                       targets, w_targets, config.loss, labels=labels_masked)
-
-    rng = np.random.default_rng(mix_seed(config.seed, 0xD15C))
-    binary = discretize(delta, config.budget, config.discretize_trials, rng,
-                        attack_objective)
-    pre, post = evaluate_attack(graph, split, binary, "poisoning",
-                                train_config=train_config)
-    return AttackReport(
-        perturbation=Perturbation(delta, config.budget, binary),
-        pre_attack_accuracy=pre, post_attack_accuracy=post,
-        per_iteration_loss=losses, per_iteration_mass=masses,
-        weights_history=weights_history,
-        attack_seconds=time.perf_counter() - start,
-        cert_seconds=cert_seconds,
-        delta_trajectory=np.asarray(trajectory) if record_trajectory else None)
+    return _attack_loop(graph, targets, labels_masked, theta, config,
+                        certify, evaluate, model_step=model_step,
+                        record_trajectory=record_trajectory)
 
 
 def evaluate_attack(graph: Graph, split: DataSplit, delta_binary: np.ndarray,

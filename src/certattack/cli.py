@@ -9,15 +9,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import (minmax_poisoning, pgd_evasion, read_delta_edges,
-                      write_delta_edges, write_report_csv)
+from .attacks import read_delta_edges, write_delta_edges, write_report_csv
 from .errors import CertAttackError, GraphLoadError, ParameterError
-from .experiment import (build_dataset, parse_config, report_distribution,
-                         run_sweep, runtime_profile, _cell_attack_config)
+from .experiment import (parse_config, prepare_cell, report_distribution,
+                         run_attack, run_sweep, runtime_profile)
 from .gcn import load_params, predict_all, save_params, train
-from .graph import classification_accuracy, split_nodes
-from .smoothing import (Certificate, certify_nodes, mix_seed,
-                        read_certificates_csv, write_certificates_csv)
+from .graph import classification_accuracy
+from .smoothing import (Certificate, certify_nodes, read_certificates_csv,
+                        write_certificates_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -76,17 +75,10 @@ def _load_config(args):
     return config
 
 
-def _prepare(config):
-    graph = build_dataset(config.dataset)
-    seed = config.seeds[0]
-    split = split_nodes(graph, config.ratios, seed)
-    train_config = replace(config.train, seed=mix_seed(seed, 1))
-    return graph, seed, split, train_config
-
-
 def cmd_train(args) -> int:
     config = _load_config(args)
-    graph, _, split, train_config = _prepare(config)
+    graph, split, train_config, _ = prepare_cell(
+        config, config.seeds[0], config.sweep_values[0])
     params = train(graph, split, graph.adjacency, train_config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -102,8 +94,8 @@ def cmd_train(args) -> int:
 
 def cmd_certify(args) -> int:
     config = _load_config(args)
-    graph, seed, split, train_config = _prepare(config)
-    attack = _cell_attack_config(config, graph, seed, config.sweep_values[0])
+    graph, split, train_config, attack = prepare_cell(
+        config, config.seeds[0], config.sweep_values[0])
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if config.mode == "evasion":
@@ -129,15 +121,9 @@ def cmd_certify(args) -> int:
 
 def cmd_attack(args, mode: str) -> int:
     config = _load_config(args)
-    if config.mode != mode:
-        config = replace(config, mode=mode)
-    graph, seed, split, train_config = _prepare(config)
-    attack = _cell_attack_config(config, graph, seed, config.sweep_values[0])
-    if mode == "evasion":
-        params = train(graph, split, graph.adjacency, train_config)
-        report = pgd_evasion(params, graph, split, attack)
-    else:
-        report = minmax_poisoning(graph, split, train_config, attack)
+    graph, split, train_config, attack = prepare_cell(
+        config, config.seeds[0], config.sweep_values[0])
+    report = run_attack(mode, graph, split, train_config, attack)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report_csv(report, attack.scheme.tag, out_dir / "attack_report.csv")

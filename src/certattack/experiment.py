@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import (AttackConfig, WeightScheme, minmax_poisoning,
-                      pgd_evasion)
-from .errors import CertificationError, ParameterError
+from .attacks import (AttackConfig, AttackReport, WeightScheme,
+                      minmax_poisoning, pgd_evasion)
+from .errors import CertAttackError, CertificationError, ParameterError
 from .gcn import LossKind, TrainConfig, train
-from .graph import Graph, load_graph, split_nodes, synth_sbm
+from .graph import DataSplit, Graph, load_graph, split_nodes, synth_sbm
 from .perturb import infer_n, triu_pairs
 from .smoothing import Certificate, NoiseSpec, SmoothingConfig, mix_seed
 
@@ -71,6 +71,15 @@ class ExperimentConfig:
                 f"sweep axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
         if not self.sweep_values:
             raise ParameterError("sweep values must be non-empty")
+        # Parsed here so a malformed value is a config error; range checks
+        # stay in the cell, where they make a failed row.
+        cast = {"scheme": str, "num_samples": int}.get(self.sweep_axis, float)
+        for value in self.sweep_values:
+            try:
+                cast(value)
+            except (TypeError, ValueError):
+                raise ParameterError(f"bad {self.sweep_axis} sweep value "
+                                     f"{value!r}") from None
         if not self.seeds:
             raise ParameterError("seeds list must be non-empty")
 
@@ -175,9 +184,10 @@ def build_dataset(dataset: DatasetConfig) -> Graph:
                       num_classes=dataset.num_classes)
 
 
-def _cell_attack_config(config: ExperimentConfig, graph: Graph, seed: int,
-                        value: str) -> AttackConfig:
-    """Base attack config with the sweep value and per-seed streams applied."""
+def prepare_cell(config: ExperimentConfig, seed: int, value: str):
+    """(graph, split, train config, attack config) of one sweep cell, with
+    the sweep value and the per-seed streams applied."""
+    graph = build_dataset(config.dataset)
     attack = config.attack
     budget_ratio = config.budget_ratio
     scheme = attack.scheme
@@ -197,34 +207,45 @@ def _cell_attack_config(config: ExperimentConfig, graph: Graph, seed: int,
     elif axis == "scheme":
         scheme = replace(scheme, tag=value)
     budget = int(budget_ratio * graph.num_edges)
-    return replace(attack, budget=budget,
-                   smoothing=replace(smoothing, seed=mix_seed(seed, 3)),
-                   scheme=replace(scheme, seed=mix_seed(seed, 4)),
-                   seed=mix_seed(seed, 2))
+    attack = replace(attack, budget=budget,
+                     smoothing=replace(smoothing, seed=mix_seed(seed, 3)),
+                     scheme=replace(scheme, seed=mix_seed(seed, 4)),
+                     seed=mix_seed(seed, 2))
+    split = split_nodes(graph, config.ratios, seed)
+    train_config = replace(config.train, seed=mix_seed(seed, 1))
+    return graph, split, train_config, attack
+
+
+def run_attack(mode: str, graph: Graph, split: DataSplit,
+               train_config: TrainConfig, attack: AttackConfig
+               ) -> AttackReport:
+    """The mode's attack on a prepared cell; evasion first trains the
+    model it attacks."""
+    if mode == "evasion":
+        params = train(graph, split, graph.adjacency, train_config)
+        return pgd_evasion(params, graph, split, attack)
+    return minmax_poisoning(graph, split, train_config, attack)
 
 
 def run_cell(config: ExperimentConfig, seed: int, value: str) -> ResultRow:
-    """One fully deterministic (seed, sweep value) attack evaluation."""
+    """One fully deterministic (seed, sweep value) attack evaluation.
+
+    Package, arithmetic and linear-algebra failures become a failed row so
+    the sweep goes on; any other exception is a bug and propagates.
+    """
     row = ResultRow(seed=seed, axis=config.sweep_axis, value=value,
                     scheme=_cell_scheme_tag(config, value), pre_accuracy=None,
                     post_accuracy=None, budget_used=None)
     try:
-        graph = build_dataset(config.dataset)
-        attack = _cell_attack_config(config, graph, seed, value)
-        split = split_nodes(graph, config.ratios, seed)
-        train_config = replace(config.train, seed=mix_seed(seed, 1))
+        graph, split, train_config, attack = prepare_cell(config, seed, value)
         start = time.perf_counter()
-        if config.mode == "evasion":
-            params = train(graph, split, graph.adjacency, train_config)
-            report = pgd_evasion(params, graph, split, attack)
-        else:
-            report = minmax_poisoning(graph, split, train_config, attack)
+        report = run_attack(config.mode, graph, split, train_config, attack)
         row.pre_accuracy = report.pre_attack_accuracy
         row.post_accuracy = report.post_attack_accuracy
         row.budget_used = report.budget_used
         row.attack_seconds = time.perf_counter() - start
         row.cert_seconds = report.cert_seconds
-    except Exception as exc:  # cell failures must not kill the sweep
+    except (CertAttackError, ArithmeticError, np.linalg.LinAlgError) as exc:
         row.status = "failed"
         row.reason = " ".join(str(exc).split())
     return row
@@ -378,23 +399,15 @@ def runtime_profile(config: ExperimentConfig, sample_counts: list[int],
     sample, so its wall time must stay within a 2x slack of linear growth
     in N; a violation raises.
     """
-    graph = build_dataset(config.dataset)
+    graph, split, train_config, attack = prepare_cell(
+        config, config.seeds[0], config.sweep_values[0])
     results = []
     for n_samples in sample_counts:
-        seed = config.seeds[0]
-        attack = _cell_attack_config(config, graph, seed, str(n_samples)
-                                     if config.sweep_axis == "num_samples"
-                                     else config.sweep_values[0])
-        attack = replace(attack, smoothing=replace(attack.smoothing,
-                                                   num_samples=n_samples))
-        split = split_nodes(graph, config.ratios, seed)
-        train_config = replace(config.train, seed=mix_seed(seed, 1))
+        cell_attack = replace(attack, smoothing=replace(
+            attack.smoothing, num_samples=n_samples))
         start = time.perf_counter()
-        if config.mode == "evasion":
-            params = train(graph, split, graph.adjacency, train_config)
-            report = pgd_evasion(params, graph, split, attack)
-        else:
-            report = minmax_poisoning(graph, split, train_config, attack)
+        report = run_attack(config.mode, graph, split, train_config,
+                            cell_attack)
         total = time.perf_counter() - start
         results.append((n_samples, total, report.cert_seconds))
     if config.mode == "poisoning":

@@ -49,14 +49,6 @@ def vector_to_matrix(vec: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def matrix_to_vector(mat: np.ndarray) -> np.ndarray:
-    """Read the strict upper triangle of a square matrix as a vector."""
-    mat = np.asarray(mat)
-    n = mat.shape[0]
-    rows, cols = triu_pairs(n)
-    return mat[rows, cols].copy()
-
-
 def apply_perturbation(adjacency: np.ndarray, delta_binary: np.ndarray) -> np.ndarray:
     """XOR a binary upper-triangle flip vector into a binary adjacency.
 

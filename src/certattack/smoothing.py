@@ -21,7 +21,8 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import beta as beta_dist
 
-from .errors import CapacityError, CertificationError, ParameterError
+from .errors import (CapacityError, CertAttackError, CertificationError,
+                     ParameterError)
 from .gcn import GCNParams, TrainConfig, predict_all, train_arrays
 from .perturb import apply_perturbation, num_pairs
 
@@ -109,13 +110,12 @@ def mc_counts_poisoning(adjacency: np.ndarray, features: np.ndarray,
                         labels: np.ndarray, train_idx: np.ndarray,
                         train_config: TrainConfig, target_nodes: np.ndarray,
                         spec: NoiseSpec, config: SmoothingConfig,
-                        num_classes: int,
-                        share_train_seed: bool = False) -> np.ndarray:
+                        num_classes: int) -> np.ndarray:
     """Label counts from N classifiers trained on independently noised graphs.
 
     Replicate j trains on A xor eps_j with a seed derived from
     (train_config.seed, j) and predicts the targets on its own noisy
-    graph; with share_train_seed every replicate reuses the base seed.
+    graph.
     """
     targets = np.asarray(target_nodes, dtype=np.int64)
     counts = np.zeros((targets.size, num_classes), dtype=np.int64)
@@ -124,13 +124,13 @@ def mc_counts_poisoning(adjacency: np.ndarray, features: np.ndarray,
     for j in range(config.num_samples):
         mask = sample_noise(spec, n, config.seed, j)
         noisy = apply_perturbation(adjacency, mask)
-        seed_j = (train_config.seed if share_train_seed
-                  else mix_seed(train_config.seed, j))
+        seed_j = mix_seed(train_config.seed, j)
         try:
             params_j = train_arrays(noisy, features, labels, train_idx,
                                     replace(train_config, seed=seed_j),
                                     num_classes)
-        except Exception as exc:
+        except (CertAttackError, ArithmeticError,
+                np.linalg.LinAlgError) as exc:
             raise CertificationError(f"replicate {j} failed: {exc}") from exc
         preds = predict_all(params_j, noisy, features)
         counts[rows, preds[targets]] += 1
@@ -244,17 +244,12 @@ def exact_smoothed_probs(params: GCNParams, adjacency: np.ndarray,
     return probs
 
 
-def exact_smoothed_prob(params: GCNParams, adjacency: np.ndarray,
-                        features: np.ndarray, node: int,
-                        spec: NoiseSpec) -> np.ndarray:
-    """Exact smoothed label distribution of one node (test oracle)."""
-    return exact_smoothed_probs(params, adjacency, features, spec)[node]
-
-
-def _certificates_from_counts(counts: np.ndarray, target_nodes: np.ndarray,
-                              labels: np.ndarray, spec: NoiseSpec,
-                              config: SmoothingConfig,
-                              r_max: int) -> list[Certificate]:
+def certificates_from_counts(counts: np.ndarray, target_nodes: np.ndarray,
+                             labels: np.ndarray, spec: NoiseSpec,
+                             config: SmoothingConfig,
+                             r_max: int = DEFAULT_RADIUS_CAP
+                             ) -> list[Certificate]:
+    """One certificate per target node from its row of label counts."""
     certs = []
     for i, node in enumerate(np.asarray(target_nodes, dtype=np.int64)):
         row = counts[i]
@@ -275,8 +270,7 @@ def certify_nodes(mode: str, *, target_nodes, labels, spec: NoiseSpec,
                   params: GCNParams | None = None,
                   train_idx=None, train_config: TrainConfig | None = None,
                   num_classes: int | None = None,
-                  r_max: int = DEFAULT_RADIUS_CAP,
-                  share_train_seed: bool = False) -> list[Certificate]:
+                  r_max: int = DEFAULT_RADIUS_CAP) -> list[Certificate]:
     """Monte Carlo certification of the targets under evasion or poisoning.
 
     Per node: counts -> smoothed label (argmax, ties to the lowest class)
@@ -296,12 +290,11 @@ def certify_nodes(mode: str, *, target_nodes, labels, spec: NoiseSpec,
                 "num_classes")
         counts = mc_counts_poisoning(adjacency, features, labels, train_idx,
                                      train_config, target_nodes, spec, config,
-                                     num_classes,
-                                     share_train_seed=share_train_seed)
+                                     num_classes)
     else:
         raise ParameterError(f"unknown certification mode {mode!r}")
-    return _certificates_from_counts(counts, target_nodes, labels, spec,
-                                     config, r_max)
+    return certificates_from_counts(counts, target_nodes, labels, spec,
+                                    config, r_max)
 
 
 def write_certificates_csv(certs: list[Certificate], spec: NoiseSpec,

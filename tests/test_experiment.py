@@ -6,7 +6,8 @@ import pytest
 from certattack import (Certificate, ParameterError, low_size_fraction,
                         parse_config, report_distribution, run_sweep,
                         runtime_profile)
-from certattack.experiment import ExperimentConfig, DatasetConfig
+from certattack import experiment
+from certattack.experiment import ExperimentConfig, DatasetConfig, run_cell
 
 BASE_CONFIG = """
 [dataset]
@@ -85,6 +86,11 @@ class TestParseConfig:
         with pytest.raises(ParameterError):
             ExperimentConfig(dataset=DatasetConfig(), seeds=())
 
+    def test_non_numeric_sweep_value_rejected(self, tmp_path):
+        path = write_config(tmp_path, axis="beta", values="0.9,abc")
+        with pytest.raises(ParameterError, match="abc"):
+            parse_config(path)
+
 
 class TestRunSweep:
     def test_zero_budget_rows_are_identity(self, tmp_path):
@@ -138,6 +144,22 @@ class TestRunSweep:
         assert by_value["0.9"].status == "ok"
         assert by_value["1.5"].status == "failed"
         assert "beta" in by_value["1.5"].reason
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, TypeError])
+    def test_only_runtime_failures_become_rows(self, tmp_path, monkeypatch,
+                                              error):
+        def broken_attack(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(experiment, "pgd_evasion", broken_attack)
+        config = parse_config(write_config(tmp_path, seeds="0",
+                                           values="uniform"))
+        if error is TypeError:  # a bug: it must crash, not become a row
+            with pytest.raises(TypeError):
+                run_cell(config, 0, "uniform")
+        else:
+            row = run_cell(config, 0, "uniform")
+            assert row.status == "failed" and row.reason == "boom"
 
     def test_summary_recomputable_from_raw(self, tmp_path):
         config = parse_config(write_config(tmp_path, seeds="0,1,2"))

@@ -6,7 +6,7 @@ import pytest
 from certattack import (CapacityError, NoiseSpec,
                         ParameterError, SmoothingConfig, TrainConfig,
                         certified_size, certify_nodes,
-                        exact_smoothed_prob, exact_smoothed_probs, init_params,
+                        exact_smoothed_probs, init_params,
                         lower_bound_prob, mc_counts_evasion,
                         mc_counts_poisoning, num_pairs, predict_all,
                         sample_noise, split_nodes, synth_sbm, train,
@@ -71,17 +71,6 @@ class TestMcCountsEvasion:
 
 
 class TestMcCountsPoisoning:
-    def test_shared_seed_beta_one_is_deterministic(self, tiny_graph):
-        config = SmoothingConfig(num_samples=10, alpha=0.1, seed=0)
-        tc = TrainConfig(epochs=60, seed=4)
-        counts = mc_counts_poisoning(tiny_graph.adjacency,
-                                     tiny_graph.features, tiny_graph.labels,
-                                     np.arange(4), tc, np.arange(4),
-                                     NoiseSpec(1.0), config, 2,
-                                     share_train_seed=True)
-        # identical graph + identical seed per replicate: all votes agree
-        assert np.all(counts.max(axis=1) == 10)
-
     def test_rows_sum_to_n(self, tiny_graph):
         config = SmoothingConfig(num_samples=8, alpha=0.1, seed=2)
         tc = TrainConfig(epochs=40, seed=1)
@@ -200,15 +189,6 @@ class TestExactSmoothedProb:
         probs = exact_smoothed_probs(params, tiny_graph.adjacency,
                                      tiny_graph.features, NoiseSpec(0.75))
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_single_node_view(self, tiny_graph):
-        params = init_params(4, 3, 2, seed=1)
-        spec = NoiseSpec(0.7)
-        probs = exact_smoothed_probs(params, tiny_graph.adjacency,
-                                     tiny_graph.features, spec)
-        row = exact_smoothed_prob(params, tiny_graph.adjacency,
-                                  tiny_graph.features, 2, spec)
-        assert np.array_equal(row, probs[2])
 
     def test_capacity_cap(self):
         graph = synth_sbm(10, 2, 0.5, 0.1, 4, seed=0)  # m = 45 > 20

@@ -24,6 +24,8 @@ from .smoothing import (Certificate, NoiseSpec, SmoothingConfig,
                         mc_counts_poisoning, mix_seed)
 
 WEIGHT_SCHEMES = ("uniform", "random", "degree", "centrality", "certified")
+CENTRALITY_ITERATIONS = 100
+CENTRALITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -90,19 +92,20 @@ class AttackReport:
         return self.perturbation.num_flips
 
 
-def eigenvector_centrality(adjacency: np.ndarray, iterations: int = 100,
-                           tol: float = 1e-8) -> np.ndarray:
-    """Power-iteration eigenvector centrality, normalized to max 1."""
+def eigenvector_centrality(adjacency: np.ndarray) -> np.ndarray:
+    """Power-iteration eigenvector centrality, normalized to max 1: at most
+    CENTRALITY_ITERATIONS steps, stopping once no entry moves by
+    CENTRALITY_TOL."""
     A = np.asarray(adjacency, dtype=np.float64)
     n = A.shape[0]
     x = np.full(n, 1.0 / np.sqrt(n))
-    for _ in range(iterations):
+    for _ in range(CENTRALITY_ITERATIONS):
         y = A @ x
         norm = np.linalg.norm(y)
         if norm == 0.0:
             return np.ones(n)
         y /= norm
-        if np.abs(y - x).max() < tol:
+        if np.abs(y - x).max() < CENTRALITY_TOL:
             x = y
             break
         x = y

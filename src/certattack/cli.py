@@ -7,15 +7,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .attacks import read_delta_edges, write_delta_edges, write_report_csv
 from .errors import CertAttackError, GraphLoadError, ParameterError
 from .experiment import (parse_config, prepare_cell, report_distribution,
                          run_attack, run_sweep, runtime_profile)
 from .gcn import load_params, predict_all, save_params, train
 from .graph import classification_accuracy
-from .smoothing import (Certificate, certify_nodes, read_certificates_csv,
+from .smoothing import (certify_nodes, read_certificates_csv,
                         write_certificates_csv)
 
 EXIT_OK = 0
@@ -31,10 +29,6 @@ def _build_parser():
                         help="override the config seed list with one seed")
     common.add_argument("--out", type=Path, default=None,
                         help="override the output directory")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="concurrent sweep workers")
-    common.add_argument("--resume", action="store_true",
-                        help="skip sweep cells already in the raw CSV")
     parser = argparse.ArgumentParser(
         prog="certattack",
         description="certificate-guided attacks on graph neural networks")
@@ -49,8 +43,12 @@ def _build_parser():
                    help="run the PGD evasion attack")
     sub.add_parser("attack-poisoning", parents=[common],
                    help="run the Minmax poisoning attack")
-    sub.add_parser("sweep", parents=[common],
-                   help="run the configured experiment sweep")
+    sweep = sub.add_parser("sweep", parents=[common],
+                           help="run the configured experiment sweep")
+    sweep.add_argument("--jobs", type=int, default=1,
+                       help="concurrent sweep workers")
+    sweep.add_argument("--resume", action="store_true",
+                       help="skip sweep cells with an ok row in the raw CSV")
     dist = sub.add_parser("report-distribution", parents=[common],
                           help="histogram perturbed edges by certified size")
     dist.add_argument("--delta", type=Path, required=True,
@@ -150,8 +148,6 @@ def cmd_report_distribution(args) -> int:
     sizes = read_certificates_csv(args.certificates)
     if not sizes:
         raise ParameterError(f"{args.certificates}: no certificates found")
-    certs = [Certificate(node, 0, np.zeros(1, dtype=np.int64), 0, 0.0, size)
-             for node, size in sizes.items()]
     n = max(sizes) + 1
     with open(args.delta, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -162,7 +158,7 @@ def cmd_report_distribution(args) -> int:
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "distribution.csv"
-    histogram = report_distribution(delta, certs, path)
+    histogram = report_distribution(delta, sizes, path)
     print(f"distribution over {sum(histogram.values())} edge incidences "
           f"-> {path}")
     return EXIT_OK

@@ -59,9 +59,6 @@ class GCNParams:
     def num_classes(self) -> int:
         return self.W2.shape[1]
 
-    def copy(self) -> "GCNParams":
-        return GCNParams(self.W1.copy(), self.W2.copy())
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -70,7 +67,6 @@ class TrainConfig:
     weight_decay: float = 5e-4
     hidden_dim: int = 16
     seed: int = 0
-    loss_kind: str = "cross_entropy"
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -81,8 +77,18 @@ class TrainConfig:
             raise ParameterError("weight_decay must be nonnegative")
         if self.hidden_dim < 1:
             raise ParameterError("hidden_dim must be positive")
-        if self.loss_kind != "cross_entropy":
-            raise ParameterError("training supports only cross_entropy")
+
+
+def _normalize(adjacency_real):
+    """(A + I, its degrees d, d^{-1/2}, Ahat) of a real adjacency A, where
+    Ahat = D^{-1/2} (A + I) D^{-1/2}; the only place Ahat is built."""
+    A = np.asarray(adjacency_real, dtype=np.float64)
+    if A.min(initial=0.0) < -1e-12:
+        raise DomainError("adjacency entries must be nonnegative")
+    Atil = A + np.eye(A.shape[0])
+    deg = Atil.sum(axis=1)
+    s = deg ** -0.5
+    return Atil, deg, s, Atil * np.outer(s, s)
 
 
 def normalize_adjacency(adjacency_real: np.ndarray) -> np.ndarray:
@@ -91,14 +97,7 @@ def normalize_adjacency(adjacency_real: np.ndarray) -> np.ndarray:
     Returns D^{-1/2} (A + I) D^{-1/2} where D is the degree diagonal of
     A + I; accepts real-valued (relaxed) adjacency matrices.
     """
-    A = np.asarray(adjacency_real, dtype=np.float64)
-    if A.min(initial=0.0) < -1e-12:
-        raise DomainError("adjacency entries must be nonnegative")
-    n = A.shape[0]
-    Atil = A + np.eye(n)
-    deg = Atil.sum(axis=1)
-    s = deg ** -0.5
-    return Atil * np.outer(s, s)
+    return _normalize(adjacency_real)[3]
 
 
 def _propagate(W1, W2, Ahat, X):
@@ -171,15 +170,13 @@ def _loss_rows(logits, labels, kind):
     return loss, grad
 
 
-def _backward(W1, W2, adjacency_real, X, labels, weights, kind,
+def _backward(W1, W2, normalized, X, labels, weights, kind,
               want_adjacency_grad: bool):
     """Weighted-sum loss with gradients w.r.t. W1, W2 and (optionally) the
-    real adjacency entries, via the normalization chain rule."""
-    n = adjacency_real.shape[0]
-    Atil = adjacency_real + np.eye(n)
-    deg = Atil.sum(axis=1)
-    s = deg ** -0.5
-    Ahat = Atil * np.outer(s, s)
+    real adjacency entries, via the normalization chain rule; `normalized`
+    is the _normalize tuple of the adjacency."""
+    Atil, deg, s, Ahat = normalized
+    n = Atil.shape[0]
     XW1, Z1, H1, HW2, Z2 = _propagate(W1, W2, Ahat, X)
     loss_rows, grad_rows = _loss_rows(Z2, labels, kind)
     total = float(weights @ loss_rows)
@@ -227,9 +224,9 @@ def param_gradients(params: GCNParams, adjacency_real: np.ndarray,
                     kind: LossKind = CROSS_ENTROPY):
     """(loss, dL/dW1, dL/dW2) of the weighted masked loss."""
     X = np.asarray(features, dtype=np.float64)
-    A = np.asarray(adjacency_real, dtype=np.float64)
-    w = _effective_weights(node_weights, mask, A.shape[0])
-    total, gW1, gW2, _ = _backward(params.W1, params.W2, A, X,
+    normalized = _normalize(adjacency_real)
+    w = _effective_weights(node_weights, mask, X.shape[0])
+    total, gW1, gW2, _ = _backward(params.W1, params.W2, normalized, X,
                                    np.asarray(labels), w, kind, False)
     if not (np.isfinite(gW1).all() and np.isfinite(gW2).all()):
         raise NumericError("non-finite parameter gradient")
@@ -251,7 +248,8 @@ def gradients(params: GCNParams, adjacency: np.ndarray,
     A_prime = relax_perturbation(A, delta_relaxed)
     X = np.asarray(features, dtype=np.float64)
     w = _effective_weights(node_weights, mask, n)
-    total, gW1, gW2, Gtil = _backward(params.W1, params.W2, A_prime, X,
+    total, gW1, gW2, Gtil = _backward(params.W1, params.W2,
+                                      _normalize(A_prime), X,
                                       np.asarray(labels), w, kind, True)
     rows, cols = triu_pairs(n)
     sign = 1.0 - 2.0 * A[rows, cols]
@@ -275,15 +273,15 @@ def init_params(feature_dim: int, hidden_dim: int, num_classes: int,
 
 def train_arrays(adjacency_real: np.ndarray, features: np.ndarray,
                  labels: np.ndarray, train_idx: np.ndarray,
-                 config: TrainConfig, num_classes: int,
-                 return_history: bool = False):
+                 config: TrainConfig, num_classes: int) -> GCNParams:
     """Full-batch gradient descent on the mean train cross-entropy.
 
     The objective is mean CE over the train mask plus an L2 penalty of
-    0.5 * weight_decay * ||W||^2; only labels at train_idx are read.
+    0.5 * weight_decay * ||W||^2; only labels at train_idx are read. The
+    adjacency is fixed, so it is normalized once, before the first epoch.
     """
     X = np.asarray(features, dtype=np.float64)
-    A = np.asarray(adjacency_real, dtype=np.float64)
+    normalized = _normalize(adjacency_real)
     labels = np.asarray(labels, dtype=np.int64)
     train_idx = np.asarray(train_idx, dtype=np.int64)
     if train_idx.size == 0:
@@ -291,42 +289,30 @@ def train_arrays(adjacency_real: np.ndarray, features: np.ndarray,
     params = init_params(X.shape[1], config.hidden_dim, num_classes,
                          config.seed)
     W1, W2 = params.W1, params.W2
-    weights = np.zeros(A.shape[0])
+    weights = np.zeros(X.shape[0])
     weights[train_idx] = 1.0 / train_idx.size
     wd = config.weight_decay
-    kind = CROSS_ENTROPY
-    history = []
-
-    def objective(data_loss):
-        return data_loss + 0.5 * wd * (float(np.sum(W1 * W1))
-                                       + float(np.sum(W2 * W2)))
-
     for epoch in range(config.epochs):
-        data_loss, gW1, gW2, _ = _backward(W1, W2, A, X, labels, weights,
-                                           kind, False)
+        data_loss, gW1, gW2, _ = _backward(W1, W2, normalized, X, labels,
+                                           weights, CROSS_ENTROPY, False)
         if not np.isfinite(data_loss):
             raise TrainingError(f"loss diverged at epoch {epoch}")
-        history.append(objective(data_loss))
         W1 = W1 - config.learning_rate * (gW1 + wd * W1)
         W2 = W2 - config.learning_rate * (gW2 + wd * W2)
-    final_rows, _ = _loss_rows(
-        _propagate(W1, W2, normalize_adjacency(A), X)[4], labels, kind)
-    final = objective(float(weights @ final_rows))
+    final_rows, _ = _loss_rows(_propagate(W1, W2, normalized[3], X)[4],
+                               labels, CROSS_ENTROPY)
+    final = float(weights @ final_rows) + 0.5 * wd * (
+        float(np.sum(W1 * W1)) + float(np.sum(W2 * W2)))
     if not np.isfinite(final):
         raise TrainingError(f"loss diverged at epoch {config.epochs}")
-    history.append(final)
-    result = GCNParams(W1, W2)
-    if return_history:
-        return result, np.asarray(history)
-    return result
+    return GCNParams(W1, W2)
 
 
 def train(graph: Graph, split: DataSplit, adjacency_real: np.ndarray,
-          config: TrainConfig, return_history: bool = False):
+          config: TrainConfig) -> GCNParams:
     """Train on the split's train mask over a (possibly perturbed) adjacency."""
     return train_arrays(adjacency_real, graph.features, graph.labels,
-                        split.train, config, graph.num_classes,
-                        return_history=return_history)
+                        split.train, config, graph.num_classes)
 
 
 _MAGIC = b"GCNPARAM"

@@ -62,7 +62,7 @@ def apply_perturbation(adjacency: np.ndarray, delta_binary: np.ndarray) -> np.nd
         raise DimensionError(
             f"flip vector length {delta_binary.shape} does not match n={n} "
             f"(expected {num_pairs(n)})")
-    if not np.isin(delta_binary, (0, 1)).all():
+    if not ((delta_binary == 0) | (delta_binary == 1)).all():
         raise DomainError("binary flip vector must contain only 0/1 entries")
     rows, cols = triu_pairs(n)
     out = adjacency.copy()

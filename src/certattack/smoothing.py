@@ -18,8 +18,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv, gammaln
 
 from .errors import (CapacityError, CertAttackError, CertificationError,
                      ParameterError)
@@ -146,7 +145,7 @@ def lower_bound_prob(count: int, total: int, alpha: float) -> float:
         raise ParameterError(f"count {count} outside [0, {total}]")
     if count == 0:
         return 0.0
-    return float(beta_dist.ppf(alpha, count, total - count + 1))
+    return float(betaincinv(count, total - count + 1, alpha))
 
 
 def worst_case_retained(p_lower: float, beta: float, radius: int) -> float:
@@ -246,9 +245,7 @@ def exact_smoothed_probs(params: GCNParams, adjacency: np.ndarray,
 
 def certificates_from_counts(counts: np.ndarray, target_nodes: np.ndarray,
                              labels: np.ndarray, spec: NoiseSpec,
-                             config: SmoothingConfig,
-                             r_max: int = DEFAULT_RADIUS_CAP
-                             ) -> list[Certificate]:
+                             config: SmoothingConfig) -> list[Certificate]:
     """One certificate per target node from its row of label counts."""
     certs = []
     for i, node in enumerate(np.asarray(target_nodes, dtype=np.int64)):
@@ -259,7 +256,8 @@ def certificates_from_counts(counts: np.ndarray, target_nodes: np.ndarray,
                                  config.alpha)
         size, saturated = 0, False
         if smoothed == true_label and p_low > 0.5:
-            size, saturated = _certified_size_scan(p_low, spec, r_max)
+            size, saturated = _certified_size_scan(p_low, spec,
+                                                   DEFAULT_RADIUS_CAP)
         certs.append(Certificate(int(node), true_label, row.copy(), smoothed,
                                  p_low, size, saturated))
     return certs
@@ -269,8 +267,7 @@ def certify_nodes(mode: str, *, target_nodes, labels, spec: NoiseSpec,
                   config: SmoothingConfig, adjacency=None, features=None,
                   params: GCNParams | None = None,
                   train_idx=None, train_config: TrainConfig | None = None,
-                  num_classes: int | None = None,
-                  r_max: int = DEFAULT_RADIUS_CAP) -> list[Certificate]:
+                  num_classes: int | None = None) -> list[Certificate]:
     """Monte Carlo certification of the targets under evasion or poisoning.
 
     Per node: counts -> smoothed label (argmax, ties to the lowest class)
@@ -294,7 +291,7 @@ def certify_nodes(mode: str, *, target_nodes, labels, spec: NoiseSpec,
     else:
         raise ParameterError(f"unknown certification mode {mode!r}")
     return certificates_from_counts(counts, target_nodes, labels, spec,
-                                    config, r_max)
+                                    config)
 
 
 def write_certificates_csv(certs: list[Certificate], spec: NoiseSpec,

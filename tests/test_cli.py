@@ -1,3 +1,5 @@
+import pytest
+
 from certattack.cli import main
 from test_experiment import write_config
 
@@ -39,6 +41,12 @@ class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         config = write_config(tmp_path, axis="bogus")
         assert main(["sweep", "--config", str(config)]) == 1
+
+    def test_sweep_flags_only_on_sweep(self, tmp_path):
+        config = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(config), "--jobs", "2"])
+        assert exc.value.code == 2  # argparse: unrecognized argument
 
     def test_missing_config_is_config_error(self):
         assert main(["train", "--config", "/nonexistent/config.ini"]) == 1

@@ -136,6 +136,19 @@ class TestRunSweep:
         run_sweep(config, resume=True)
         assert path.read_bytes() == raw
 
+    def test_resume_retries_failed_cells(self, tmp_path):
+        config = parse_config(write_config(tmp_path, seeds="0,1"))
+        run_sweep(config)
+        path = tmp_path / "out" / "raw_results.csv"
+        raw = path.read_bytes()
+        with open(path, newline="") as fh:
+            records = list(csv.reader(fh))
+        records[2][4:9] = ["", "", "", "failed", "boom"]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(records)
+        run_sweep(config, resume=True)
+        assert path.read_bytes() == raw
+
     def test_failed_cell_recorded_not_fatal(self, tmp_path):
         config = parse_config(write_config(
             tmp_path, axis="beta", values="0.9,1.5", seeds="0"))
@@ -208,6 +221,13 @@ class TestReportDistribution:
         delta[5] = 1  # pair (2, 3)
         hist = report_distribution(delta, certs)
         assert hist == {"none": 1}
+
+    def test_certified_size_map(self):
+        # the {node: K} map that read_certificates_csv returns
+        delta = np.zeros(6, dtype=np.int8)
+        delta[[0, 5]] = 1  # pairs (0, 1) and (2, 3)
+        hist = report_distribution(delta, {0: 1, 1: 3})
+        assert hist == {1: 1, 3: 1, "none": 1}
 
     def test_low_size_fraction(self):
         assert low_size_fraction({0: 3, 1: 1, 4: 4, "none": 7}) == 0.5

@@ -7,6 +7,7 @@ from certattack import (GCNParams, LossKind, ParameterError, TrainConfig,
                         num_pairs, predict_all, relax_perturbation,
                         save_params, split_nodes, synth_sbm, train,
                         weighted_loss)
+from certattack import gcn
 from certattack.gcn import _loss_rows
 from oracles import central_difference
 
@@ -184,10 +185,33 @@ class TestTrain:
 
     def test_loss_monotone_at_small_rate(self, tiny_graph):
         split = split_nodes(tiny_graph, (1.0, 0.0, 0.0), seed=0)
-        config = TrainConfig(learning_rate=0.01, epochs=300, seed=0)
-        _, history = train(tiny_graph, split, tiny_graph.adjacency, config,
-                           return_history=True)
-        assert np.all(np.diff(history) <= 1e-8)
+        mean_weights = np.full(tiny_graph.n, 1.0 / split.train.size)
+        objective = []
+        for epochs in range(1, 301, 10):
+            config = TrainConfig(learning_rate=0.01, epochs=epochs, seed=0)
+            params = train(tiny_graph, split, tiny_graph.adjacency, config)
+            data_loss = weighted_loss(params, tiny_graph.adjacency,
+                                      tiny_graph.features, tiny_graph.labels,
+                                      mean_weights, split.train)
+            penalty = 0.5 * config.weight_decay * (
+                np.sum(params.W1 ** 2) + np.sum(params.W2 ** 2))
+            objective.append(data_loss + penalty)
+        assert np.all(np.diff(objective) <= 1e-8)
+
+    def test_adjacency_normalized_once_per_training(self, tiny_graph,
+                                                    monkeypatch):
+        calls = []
+        normalize = gcn._normalize
+
+        def counting(adjacency_real):
+            calls.append(1)
+            return normalize(adjacency_real)
+
+        monkeypatch.setattr(gcn, "_normalize", counting)
+        split = split_nodes(tiny_graph, (1.0, 0.0, 0.0), seed=0)
+        train(tiny_graph, split, tiny_graph.adjacency,
+              TrainConfig(epochs=25, seed=0))
+        assert len(calls) == 1
 
     def test_divergence_reports_epoch(self, tiny_graph):
         split = split_nodes(tiny_graph, (1.0, 0.0, 0.0), seed=0)

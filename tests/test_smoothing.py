@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import certattack
 from certattack import (CapacityError, NoiseSpec,
                         ParameterError, SmoothingConfig, TrainConfig,
                         certified_size, certify_nodes,
@@ -125,6 +130,13 @@ class TestLowerBound:
             if lower_bound_prob(int(count), n, alpha) <= p:
                 hits += 1
         assert hits / trials >= (1 - alpha) - 0.02
+
+
+def test_import_does_not_load_scipy_stats():
+    code = "import certattack, sys; assert 'scipy.stats' not in sys.modules"
+    src = Path(certattack.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
 
 
 class TestCertifiedSize:

@@ -263,7 +263,8 @@ RAW_HEADER = ["seed", "axis", "value", "scheme", "pre_accuracy",
 
 
 def _read_existing_rows(path: Path) -> dict:
-    """Rows of a previous run that finished; failed cells run again."""
+    """Rows of a previous run that finished, with the timings that the
+    timings.csv beside it records; failed cells run again."""
     done = {}
     if not path.exists():
         return done
@@ -278,6 +279,15 @@ def _read_existing_rows(path: Path) -> dict:
                 pre_accuracy=float(rec["pre_accuracy"]),
                 post_accuracy=float(rec["post_accuracy"]),
                 budget_used=int(rec["budget_used"]))
+    timings_path = path.with_name("timings.csv")
+    if timings_path.exists():
+        with open(timings_path, "r", newline="") as fh:
+            for rec in csv.DictReader(fh):
+                row = done.get((int(rec["seed"]), rec["value"],
+                                rec["scheme"]))
+                if row is not None:
+                    row.attack_seconds = float(rec["attack_seconds"])
+                    row.cert_seconds = float(rec["cert_seconds"])
     return done
 
 
@@ -286,7 +296,8 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
     """Run every (seed, sweep value) cell and write raw/summary/timings CSVs.
 
     A failing cell is recorded as a failed row and the sweep continues;
-    with resume=True, cells with an ok row in the raw CSV are skipped.
+    with resume=True, cells with an ok row in the raw CSV are skipped and
+    keep their timings.
     The merged raw CSV is rewritten in full, sorted, so its bytes do not
     depend on scheduling or on how many resume passes produced it.
     """

@@ -80,15 +80,16 @@ class TrainConfig:
 
 
 def _normalize(adjacency_real):
-    """(A + I, its degrees d, d^{-1/2}, Ahat) of a real adjacency A, where
-    Ahat = D^{-1/2} (A + I) D^{-1/2}; the only place Ahat is built."""
+    """(A + I, its degrees d, d^{-1/2}, Ahat) of a real adjacency A, or of
+    each matrix of a (B, n, n) stack, where Ahat = D^{-1/2} (A + I) D^{-1/2};
+    the only place Ahat is built."""
     A = np.asarray(adjacency_real, dtype=np.float64)
     if A.min(initial=0.0) < -1e-12:
         raise DomainError("adjacency entries must be nonnegative")
-    Atil = A + np.eye(A.shape[0])
-    deg = Atil.sum(axis=1)
+    Atil = A + np.eye(A.shape[-1])
+    deg = Atil.sum(axis=-1)
     s = deg ** -0.5
-    return Atil, deg, s, Atil * np.outer(s, s)
+    return Atil, deg, s, Atil * (s[..., :, None] * s[..., None, :])
 
 
 def normalize_adjacency(adjacency_real: np.ndarray) -> np.ndarray:
@@ -145,17 +146,18 @@ def _loss_rows(logits, labels, kind):
 
     Rows whose weight is zero may carry placeholder labels (e.g. -1); the
     caller multiplies by the weights, which kills their contribution.
+    Cross-entropy also takes a (B, n, C) stack of logits.
     """
-    n, C = logits.shape
+    n, C = logits.shape[-2:]
     idx = np.arange(n)
     safe = np.where((labels >= 0) & (labels < C), labels, 0)
     if kind.tag == "cross_entropy":
-        shifted = logits - logits.max(axis=1, keepdims=True)
+        shifted = logits - logits.max(axis=-1, keepdims=True)
         expz = np.exp(shifted)
-        Z = expz.sum(axis=1)
-        loss = np.log(Z) - shifted[idx, safe]
-        grad = expz / Z[:, None]
-        grad[idx, safe] -= 1.0
+        Z = expz.sum(axis=-1)
+        loss = np.log(Z) - shifted[..., idx, safe]
+        grad = expz / Z[..., None]
+        grad[..., idx, safe] -= 1.0
     else:
         z_true = logits[idx, safe]
         masked = logits.copy()
@@ -174,19 +176,21 @@ def _backward(W1, W2, normalized, X, labels, weights, kind,
               want_adjacency_grad: bool):
     """Weighted-sum loss with gradients w.r.t. W1, W2 and (optionally) the
     real adjacency entries, via the normalization chain rule; `normalized`
-    is the _normalize tuple of the adjacency."""
+    is the _normalize tuple of the adjacency.  Without the adjacency
+    gradient, weights and adjacencies may be (B, ...) stacks of B models
+    trained in lockstep; the loss is then one value per model."""
     Atil, deg, s, Ahat = normalized
-    n = Atil.shape[0]
     XW1, Z1, H1, HW2, Z2 = _propagate(W1, W2, Ahat, X)
     loss_rows, grad_rows = _loss_rows(Z2, labels, kind)
-    total = float(weights @ loss_rows)
+    total = loss_rows @ weights
     G2 = grad_rows * weights[:, None]
     AG2 = Ahat @ G2
-    gW2 = H1.T @ AG2
-    GZ1 = np.where(Z1 > 0.0, AG2 @ W2.T, 0.0)
+    gW2 = np.swapaxes(H1, -1, -2) @ AG2
+    GZ1 = np.where(Z1 > 0.0, AG2 @ np.swapaxes(W2, -1, -2), 0.0)
     gW1 = X.T @ (Ahat @ GZ1)
     if not want_adjacency_grad:
         return total, gW1, gW2, None
+    n = Atil.shape[0]
     GA = G2 @ HW2.T + GZ1 @ XW1.T
     GAt = GA * Atil
     row_dot = GAt @ s
@@ -230,7 +234,7 @@ def param_gradients(params: GCNParams, adjacency_real: np.ndarray,
                                    np.asarray(labels), w, kind, False)
     if not (np.isfinite(gW1).all() and np.isfinite(gW2).all()):
         raise NumericError("non-finite parameter gradient")
-    return total, gW1, gW2
+    return float(total), gW1, gW2
 
 
 def gradients(params: GCNParams, adjacency: np.ndarray,
@@ -257,7 +261,7 @@ def gradients(params: GCNParams, adjacency: np.ndarray,
     if not (np.isfinite(gW1).all() and np.isfinite(gW2).all()
             and np.isfinite(g_delta).all()):
         raise NumericError("non-finite gradient")
-    return total, gW1, gW2, g_delta
+    return float(total), gW1, gW2, g_delta
 
 
 def init_params(feature_dim: int, hidden_dim: int, num_classes: int,
@@ -273,39 +277,55 @@ def init_params(feature_dim: int, hidden_dim: int, num_classes: int,
 
 def train_arrays(adjacency_real: np.ndarray, features: np.ndarray,
                  labels: np.ndarray, train_idx: np.ndarray,
-                 config: TrainConfig, num_classes: int) -> GCNParams:
+                 config: TrainConfig, num_classes: int, seeds=None):
     """Full-batch gradient descent on the mean train cross-entropy.
 
     The objective is mean CE over the train mask plus an L2 penalty of
     0.5 * weight_decay * ||W||^2; only labels at train_idx are read. The
     adjacency is fixed, so it is normalized once, before the first epoch.
+
+    An (n, n) adjacency trains one model from config.seed and returns its
+    GCNParams.  A (B, n, n) stack with B `seeds` trains B models in
+    lockstep, model b from seeds[b], and returns a list of B GCNParams;
+    every operation works slice by slice in the order of a single
+    training, so each model is bit-identical to training its adjacency
+    alone.  A divergence in any model raises for the whole stack.
     """
+    A = np.asarray(adjacency_real, dtype=np.float64)
+    single = A.ndim == 2 and seeds is None
+    if single:
+        A, seeds = A[None], (config.seed,)
+    if A.ndim != 3 or seeds is None or len(seeds) != A.shape[0]:
+        raise ParameterError("train on an (n, n) adjacency, or on a "
+                             "(B, n, n) stack with B seeds")
     X = np.asarray(features, dtype=np.float64)
-    normalized = _normalize(adjacency_real)
+    normalized = _normalize(A)
     labels = np.asarray(labels, dtype=np.int64)
     train_idx = np.asarray(train_idx, dtype=np.int64)
     if train_idx.size == 0:
         raise ParameterError("cannot train on an empty mask")
-    params = init_params(X.shape[1], config.hidden_dim, num_classes,
-                         config.seed)
-    W1, W2 = params.W1, params.W2
+    inits = [init_params(X.shape[1], config.hidden_dim, num_classes, seed)
+             for seed in seeds]
+    W1 = np.stack([p.W1 for p in inits])
+    W2 = np.stack([p.W2 for p in inits])
     weights = np.zeros(X.shape[0])
     weights[train_idx] = 1.0 / train_idx.size
     wd = config.weight_decay
     for epoch in range(config.epochs):
         data_loss, gW1, gW2, _ = _backward(W1, W2, normalized, X, labels,
                                            weights, CROSS_ENTROPY, False)
-        if not np.isfinite(data_loss):
+        if not np.isfinite(data_loss).all():
             raise TrainingError(f"loss diverged at epoch {epoch}")
         W1 = W1 - config.learning_rate * (gW1 + wd * W1)
         W2 = W2 - config.learning_rate * (gW2 + wd * W2)
     final_rows, _ = _loss_rows(_propagate(W1, W2, normalized[3], X)[4],
                                labels, CROSS_ENTROPY)
-    final = float(weights @ final_rows) + 0.5 * wd * (
-        float(np.sum(W1 * W1)) + float(np.sum(W2 * W2)))
-    if not np.isfinite(final):
+    final = final_rows @ weights + 0.5 * wd * (
+        np.sum(W1 * W1, axis=(1, 2)) + np.sum(W2 * W2, axis=(1, 2)))
+    if not np.isfinite(final).all():
         raise TrainingError(f"loss diverged at epoch {config.epochs}")
-    return GCNParams(W1, W2)
+    models = [GCNParams(w1, w2) for w1, w2 in zip(W1, W2)]
+    return models[0] if single else models
 
 
 def train(graph: Graph, split: DataSplit, adjacency_real: np.ndarray,

@@ -65,11 +65,12 @@ def apply_perturbation(adjacency: np.ndarray, delta_binary: np.ndarray) -> np.nd
     if not ((delta_binary == 0) | (delta_binary == 1)).all():
         raise DomainError("binary flip vector must contain only 0/1 entries")
     rows, cols = triu_pairs(n)
+    on = np.flatnonzero(delta_binary)
+    r, c = rows[on], cols[on]
     out = adjacency.copy()
-    flipped = np.bitwise_xor(out[rows, cols].astype(np.int8),
-                             delta_binary.astype(np.int8))
-    out[rows, cols] = flipped
-    out[cols, rows] = flipped
+    flipped = out[r, c].astype(np.int8) ^ 1
+    out[r, c] = flipped
+    out[c, r] = flipped
     return out
 
 

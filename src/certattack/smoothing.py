@@ -27,6 +27,12 @@ from .perturb import apply_perturbation, num_pairs
 
 DEFAULT_RADIUS_CAP = 2000
 
+# Poisoning replicates train in lockstep blocks of about this many
+# adjacency entries: STACK_ENTRIES // n**2 replicates, 10 at n = 100.
+STACK_ENTRIES = 100_000
+
+_FAILURES = (CertAttackError, ArithmeticError, np.linalg.LinAlgError)
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -114,25 +120,38 @@ def mc_counts_poisoning(adjacency: np.ndarray, features: np.ndarray,
 
     Replicate j trains on A xor eps_j with a seed derived from
     (train_config.seed, j) and predicts the targets on its own noisy
-    graph.
+    graph.  Replicates train in stacked blocks of STACK_ENTRIES // n**2;
+    if a block fails, it is retrained one replicate at a time, so the
+    error names the lowest failing replicate exactly as it fails alone.
     """
     targets = np.asarray(target_nodes, dtype=np.int64)
     counts = np.zeros((targets.size, num_classes), dtype=np.int64)
     n = adjacency.shape[0]
     rows = np.arange(targets.size)
-    for j in range(config.num_samples):
-        mask = sample_noise(spec, n, config.seed, j)
-        noisy = apply_perturbation(adjacency, mask)
-        seed_j = mix_seed(train_config.seed, j)
+    block = max(1, STACK_ENTRIES // (n * n))
+    for start in range(0, config.num_samples, block):
+        js = range(start, min(start + block, config.num_samples))
+        noisy = np.stack([apply_perturbation(
+            adjacency, sample_noise(spec, n, config.seed, j)) for j in js])
+        seeds = [mix_seed(train_config.seed, j) for j in js]
         try:
-            params_j = train_arrays(noisy, features, labels, train_idx,
-                                    replace(train_config, seed=seed_j),
-                                    num_classes)
-        except (CertAttackError, ArithmeticError,
-                np.linalg.LinAlgError) as exc:
-            raise CertificationError(f"replicate {j} failed: {exc}") from exc
-        preds = predict_all(params_j, noisy, features)
-        counts[rows, preds[targets]] += 1
+            models = train_arrays(noisy, features, labels, train_idx,
+                                  train_config, num_classes, seeds)
+        except _FAILURES:
+            models = None
+        for b, j in enumerate(js):
+            if models is None:
+                try:
+                    params_j = train_arrays(
+                        noisy[b], features, labels, train_idx,
+                        replace(train_config, seed=seeds[b]), num_classes)
+                except _FAILURES as exc:
+                    raise CertificationError(
+                        f"replicate {j} failed: {exc}") from exc
+            else:
+                params_j = models[b]
+            preds = predict_all(params_j, noisy[b], features)
+            counts[rows, preds[targets]] += 1
     return counts
 
 

@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the production code paths it checks:
 exact rational arithmetic for the Neyman-Pearson worst case, breakpoint
-scanning for the capped-box projection, and brute-force enumeration for
-certified sizes.
+scanning for the capped-box projection, brute-force enumeration for
+certified sizes, and a dense XOR for edge flips.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -87,6 +87,17 @@ def project_capped_box_exact(x: np.ndarray, budget: float) -> np.ndarray:
     else:
         mu = lo + (m_lo - budget) * (hi - lo) / (m_lo - m_hi)
     return np.clip(x - mu, 0.0, 1.0)
+
+
+def xor_dense(adjacency: np.ndarray, delta_binary: np.ndarray) -> np.ndarray:
+    """Dense reference of the flip: mirror the upper-triangle vector into a
+    full 0/1 matrix and XOR it into every entry, keeping the input dtype."""
+    A = np.asarray(adjacency)
+    n = A.shape[0]
+    flips = np.zeros((n, n), dtype=np.int8)
+    flips[np.triu_indices(n, k=1)] = np.asarray(delta_binary) != 0
+    flips |= flips.T
+    return np.bitwise_xor(A.astype(np.int8), flips).astype(A.dtype)
 
 
 def central_difference(fn, x0: np.ndarray, step: float = 1e-4) -> np.ndarray:

@@ -149,6 +149,23 @@ class TestRunSweep:
         run_sweep(config, resume=True)
         assert path.read_bytes() == raw
 
+    def test_resume_keeps_timings(self, tmp_path):
+        config = parse_config(write_config(tmp_path, seeds="0,1"))
+        run_sweep(config)
+        out = tmp_path / "out"
+        with open(out / "timings.csv", newline="") as fh:
+            first = list(csv.reader(fh))
+        with open(out / "raw_results.csv", newline="") as fh:
+            records = list(csv.reader(fh))
+        with open(out / "raw_results.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(records[:-1])
+        run_sweep(config, resume=True)
+        with open(out / "timings.csv", newline="") as fh:
+            resumed = list(csv.reader(fh))
+        assert len(resumed) == len(first) == len(records)
+        assert resumed[:-1] == first[:-1]
+        assert float(resumed[-1][3]) > 0.0
+
     def test_failed_cell_recorded_not_fatal(self, tmp_path):
         config = parse_config(write_config(
             tmp_path, axis="beta", values="0.9,1.5", seeds="0"))

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from certattack import (GCNParams, LossKind, ParameterError, TrainConfig,
-                        TrainingError, forward, gradients, init_params,
-                        load_params, node_loss, normalize_adjacency,
-                        num_pairs, predict_all, relax_perturbation,
+from certattack import (GCNParams, LossKind, NoiseSpec, ParameterError,
+                        TrainConfig, TrainingError, apply_perturbation,
+                        forward, gradients, init_params, load_params,
+                        node_loss, normalize_adjacency, num_pairs,
+                        predict_all, relax_perturbation, sample_noise,
                         save_params, split_nodes, synth_sbm, train,
-                        weighted_loss)
+                        train_arrays, weighted_loss)
 from certattack import gcn
 from certattack.gcn import _loss_rows
 from oracles import central_difference
@@ -219,6 +220,32 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(TrainingError,
                                                       match="epoch"):
             train(tiny_graph, split, tiny_graph.adjacency, config)
+
+    def test_stack_matches_single_trainings(self):
+        graph = synth_sbm(40, 2, 0.3, 0.05, 6, seed=1)
+        split = split_nodes(graph, (0.3, 0.0, 0.7), seed=0)
+        noisy = np.stack([
+            apply_perturbation(graph.adjacency,
+                               sample_noise(NoiseSpec(0.8), graph.n, 5, j))
+            for j in range(3)])
+        seeds = [11, 12, 13]
+        config = TrainConfig(epochs=30, learning_rate=0.1, seed=0)
+        stacked = train_arrays(noisy, graph.features, graph.labels,
+                               split.train, config, graph.num_classes, seeds)
+        assert len(stacked) == 3
+        for adj, seed, params in zip(noisy, seeds, stacked):
+            alone = train_arrays(adj, graph.features, graph.labels,
+                                 split.train, TrainConfig(
+                                     epochs=30, learning_rate=0.1, seed=seed),
+                                 graph.num_classes)
+            assert np.array_equal(params.W1, alone.W1)
+            assert np.array_equal(params.W2, alone.W2)
+
+    def test_stack_needs_one_seed_per_adjacency(self, tiny_graph):
+        stack = np.stack([tiny_graph.adjacency] * 2)
+        with pytest.raises(ParameterError):
+            train_arrays(stack, tiny_graph.features, tiny_graph.labels,
+                         np.arange(4), TrainConfig(epochs=5), 2, [1])
 
 
 class TestPredict:

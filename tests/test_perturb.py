@@ -6,6 +6,9 @@ from hypothesis import strategies as st
 from certattack import (DimensionError, DomainError, Perturbation,
                         apply_perturbation, num_pairs, relax_perturbation)
 from conftest import random_binary_adjacency
+from oracles import xor_dense
+
+DTYPES = (np.int8, np.bool_, np.int64, np.float64)
 
 
 @st.composite
@@ -63,6 +66,27 @@ class TestApply:
         adj = np.zeros((4, 4), dtype=np.int8)
         with pytest.raises(DimensionError):
             apply_perturbation(adj, np.zeros(3, dtype=np.int8))
+
+    def test_non_binary_mask_rejected(self):
+        adj = np.zeros((4, 4), dtype=np.int8)
+        delta = np.zeros(num_pairs(4), dtype=np.int8)
+        delta[2] = 2
+        with pytest.raises(DomainError):
+            apply_perturbation(adj, delta)
+
+    @pytest.mark.parametrize("graph_dtype", DTYPES)
+    @pytest.mark.parametrize("mask_dtype", DTYPES)
+    def test_matches_dense_xor(self, graph_dtype, mask_dtype):
+        rng = np.random.default_rng(7)
+        for _ in range(150):
+            n = int(rng.integers(2, 40))
+            adj = random_binary_adjacency(rng, n, p=rng.random())
+            delta = rng.random(num_pairs(n)) < rng.random()
+            adj, delta = adj.astype(graph_dtype), delta.astype(mask_dtype)
+            out = apply_perturbation(adj, delta)
+            expected = xor_dense(adj, delta)
+            assert out.dtype == expected.dtype
+            assert np.array_equal(out, expected)
 
 
 class TestRelax:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,14 +9,16 @@ import numpy as np
 import pytest
 
 import certattack
-from certattack import (CapacityError, NoiseSpec,
+from certattack import (CapacityError, CertificationError, NoiseSpec,
                         ParameterError, SmoothingConfig, TrainConfig,
-                        certified_size, certify_nodes,
-                        exact_smoothed_probs, init_params,
+                        TrainingError, apply_perturbation, certified_size,
+                        certify_nodes, exact_smoothed_probs, init_params,
                         lower_bound_prob, mc_counts_evasion,
-                        mc_counts_poisoning, num_pairs, predict_all,
-                        sample_noise, split_nodes, synth_sbm, train,
-                        worst_case_retained, write_certificates_csv)
+                        mc_counts_poisoning, mix_seed, num_pairs,
+                        predict_all, sample_noise, split_nodes, synth_sbm,
+                        train, train_arrays, worst_case_retained,
+                        write_certificates_csv)
+from certattack import smoothing
 from certattack.smoothing import _certified_size_scan
 from oracles import worst_case_retained_exact
 
@@ -84,6 +87,68 @@ class TestMcCountsPoisoning:
                                      np.arange(4), tc, np.arange(4),
                                      NoiseSpec(0.8), config, 2)
         assert np.all(counts.sum(axis=1) == 8)
+
+    def test_blocks_match_single_trainings(self, monkeypatch):
+        # n = 150 puts 4 replicates in a block, so N = 9 spans three blocks.
+        graph = synth_sbm(150, 3, 0.1, 0.01, 6, seed=2)
+        split = split_nodes(graph, (0.2, 0.0, 0.8), seed=1)
+        spec, tc = NoiseSpec(0.9), TrainConfig(epochs=20, seed=4)
+        config = SmoothingConfig(num_samples=9, alpha=0.1, seed=6)
+        args = (graph.features, graph.labels, split.train)
+        expected = np.zeros((split.test.size, graph.num_classes), np.int64)
+        reference = []
+        for j in range(9):
+            noisy = apply_perturbation(graph.adjacency,
+                                       sample_noise(spec, graph.n, 6, j))
+            params = train_arrays(noisy, *args,
+                                  replace(tc, seed=mix_seed(tc.seed, j)),
+                                  graph.num_classes)
+            reference.append((params.W1, params.W2, noisy))
+            preds = predict_all(params, noisy, graph.features)
+            expected[np.arange(split.test.size), preds[split.test]] += 1
+
+        blocks, seen = [], []
+        train_stack = smoothing.train_arrays
+        predict = smoothing.predict_all
+
+        def recording_train(adjacency, *rest):
+            blocks.append(len(adjacency))
+            return train_stack(adjacency, *rest)
+
+        def recording_predict(params, adjacency, features):
+            seen.append((params.W1, params.W2, adjacency))
+            return predict(params, adjacency, features)
+
+        monkeypatch.setattr(smoothing, "train_arrays", recording_train)
+        monkeypatch.setattr(smoothing, "predict_all", recording_predict)
+        counts = mc_counts_poisoning(graph.adjacency, *args, tc, split.test,
+                                     spec, config, graph.num_classes)
+        assert blocks == [4, 4, 1]
+        assert np.array_equal(counts, expected)
+        assert len(seen) == len(reference)
+        for got, want in zip(seen, reference):
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_divergence_names_first_replicate_and_its_epoch(self):
+        graph = synth_sbm(30, 2, 0.3, 0.05, 4, seed=0)
+        split = split_nodes(graph, (0.3, 0.0, 0.7), seed=0)
+        spec, tc = NoiseSpec(0.9), TrainConfig(learning_rate=1e6, seed=3)
+        config = SmoothingConfig(num_samples=5, alpha=0.1, seed=1)
+        noisy = apply_perturbation(graph.adjacency,
+                                   sample_noise(spec, graph.n, 1, 0))
+        # Replicate 0 diverges at epoch 33 alone, replicate 3 at epoch 32,
+        # so the stacked block fails before replicate 0 does.
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingError) as alone:
+                train_arrays(noisy, graph.features, graph.labels,
+                             split.train, replace(tc, seed=mix_seed(3, 0)),
+                             graph.num_classes)
+            with pytest.raises(CertificationError) as stacked:
+                mc_counts_poisoning(graph.adjacency, graph.features,
+                                    graph.labels, split.train, tc,
+                                    split.test, spec, config,
+                                    graph.num_classes)
+        assert str(stacked.value) == f"replicate 0 failed: {alone.value}"
 
     def test_majority_matches_clean_training_mostly(self):
         graph = synth_sbm(30, 2, 0.6, 0.05, 4, seed=5)

@@ -25,7 +25,7 @@ from .experiment import (DatasetConfig, ExperimentConfig, ResultRow,
                          prepare_cell, report_distribution, run_attack,
                          run_sweep, runtime_profile)
 from .perturb import (Perturbation, apply_perturbation, num_pairs,
-                      relax_perturbation, triu_pairs, vector_to_matrix)
+                      relax_perturbation, triu_pairs)
 from .smoothing import (Certificate, NoiseSpec, SmoothingConfig,
                         certificates_from_counts, certified_size,
                         certify_nodes, exact_smoothed_probs, lower_bound_prob,

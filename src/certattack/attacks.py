@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, GraphLoadError, ParameterError
 from .gcn import (CROSS_ENTROPY, GCNParams, LossKind, TrainConfig, gradients,
                   init_params, param_gradients, predict_all, train,
                   weighted_loss)
@@ -416,19 +416,36 @@ def write_delta_edges(delta_binary: np.ndarray, adjacency: np.ndarray,
             fh.write(f"{s}\t{t}\t{direction}\n")
 
 
-def read_delta_edges(path, n: int) -> np.ndarray:
-    """Inverse of write_delta_edges for a graph with n nodes."""
-    rows, cols = triu_pairs(n)
-    index = {(int(s), int(t)): p for p, (s, t) in enumerate(zip(rows, cols))}
-    out = np.zeros(num_pairs(n), dtype=np.int8)
+def read_delta_edges(path, n: int | None = None) -> np.ndarray:
+    """Inverse of write_delta_edges: the flip vector over n nodes, by
+    default the fewest nodes that hold every listed pair.
+
+    Lines are whitespace-separated 's t direction'.  A malformed line, a
+    self-pair or an index outside [0, n) is a GraphLoadError naming the
+    file and line.
+    """
+    pairs = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, start=1):
+            toks = line.split()
+            if not toks:
                 continue
-            s, t, _ = line.split("\t")
-            s, t = int(s), int(t)
-            if s > t:
-                s, t = t, s
-            out[index[(s, t)]] = 1
-    return out
+            where = f"{path}:{lineno}"
+            # A decimal token is a nonnegative integer that int() reads.
+            if not (len(toks) == 3 and toks[0].isdecimal()
+                    and toks[1].isdecimal() and toks[2] in ("add", "remove")):
+                raise GraphLoadError(
+                    f"{where}: expected 's t add|remove', got {line.strip()!r}")
+            s, t = int(toks[0]), int(toks[1])
+            if s == t:
+                raise GraphLoadError(f"{where}: self-pair ({s}, {t})")
+            if n is not None and max(s, t) >= n:
+                raise GraphLoadError(f"{where}: node index outside [0, {n})")
+            pairs.append((s, t))
+    if n is None:
+        n = 1 + max((max(pair) for pair in pairs), default=0)
+    s, t = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    marked = np.zeros((n, n), dtype=np.int8)
+    marked[s, t] = marked[t, s] = 1
+    rows, cols = triu_pairs(n)
+    return marked[rows, cols]

@@ -148,13 +148,7 @@ def cmd_report_distribution(args) -> int:
     sizes = read_certificates_csv(args.certificates)
     if not sizes:
         raise ParameterError(f"{args.certificates}: no certificates found")
-    n = max(sizes) + 1
-    with open(args.delta, "r", encoding="utf-8") as fh:
-        for line in fh:
-            toks = line.split()
-            if len(toks) >= 2:
-                n = max(n, int(toks[0]) + 1, int(toks[1]) + 1)
-    delta = read_delta_edges(args.delta, n)
+    delta = read_delta_edges(args.delta)
     out_dir = Path(args.out) if args.out else Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "distribution.csv"

@@ -9,22 +9,75 @@ is byte-identical across reruns of the same config.
 import configparser
 import csv
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .attacks import (AttackConfig, AttackReport, WeightScheme,
-                      minmax_poisoning, pgd_evasion)
+from .attacks import (AttackConfig, AttackReport, minmax_poisoning,
+                      pgd_evasion)
 from .errors import CertAttackError, ParameterError
-from .gcn import LossKind, TrainConfig, train
+from .gcn import TrainConfig, train
 from .graph import DataSplit, Graph, load_graph, split_nodes, synth_sbm
 from .perturb import infer_n, triu_pairs
-from .smoothing import Certificate, NoiseSpec, SmoothingConfig, mix_seed
+from .smoothing import Certificate, mix_seed
 
 SWEEP_AXES = ("budget_ratio", "beta", "alpha", "num_samples", "sharpness",
               "scheme")
+
+
+def _tokens(raw: str) -> tuple:
+    return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+
+
+# Every config key: section -> key -> parser of its text.  A key missing
+# from the file keeps its dataclass default.
+KEYS = {
+    "dataset": {"kind": str, "n": int, "communities": int, "p_in": float,
+                "p_out": float, "feature_dim": int, "seed": int,
+                "edges": str, "features": str, "labels": str,
+                "num_classes": int},
+    "split": {"train_ratio": float, "val_ratio": float, "test_ratio": float,
+              "seeds": lambda raw: tuple(map(int, _tokens(raw)))},
+    "train": {"learning_rate": float, "epochs": int, "weight_decay": float,
+              "hidden_dim": int},
+    "attack": {"mode": str, "budget_ratio": float, "iterations": int,
+               "refresh_interval": int, "step_size": float,
+               "inner_step_size": float, "loss": str, "kappa": float,
+               "num_samples": int, "alpha": float, "beta": float,
+               "sharpness": float, "scheme": str, "discretize_trials": int},
+    "sweep": {"axis": str, "values": _tokens},
+    "output": {"directory": str},
+}
+
+# Field path in ExperimentConfig of each [attack] key that is not
+# attack.<key>; sweep axes are [attack] keys.
+ATTACK_PATHS = {
+    "mode": "mode", "budget_ratio": "budget_ratio",
+    "beta": "attack.noise.beta", "loss": "attack.loss.tag",
+    "kappa": "attack.loss.kappa", "scheme": "attack.scheme.tag",
+    "sharpness": "attack.scheme.a", "alpha": "attack.smoothing.alpha",
+    "num_samples": "attack.smoothing.num_samples",
+}
+
+# The only defaults that depend on the mode; a poisoning attack retrains
+# N replicates at each refresh, so it runs fewer, cheaper iterations.
+MODE_DEFAULTS = {"poisoning": {"iterations": 10, "refresh_interval": 2,
+                               "num_samples": 20}}
+
+
+def parse_key(section: str, key: str, raw: str):
+    """The value of one config key parsed from its text; an unknown key or
+    a malformed value is a ParameterError."""
+    parse = KEYS[section].get(key)
+    if parse is None:
+        raise ParameterError(f"unknown key {key!r} in section [{section}]")
+    try:
+        return parse(raw.strip())
+    except ValueError:
+        raise ParameterError(f"bad value for {key}: {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -73,13 +126,8 @@ class ExperimentConfig:
             raise ParameterError("sweep values must be non-empty")
         # Parsed here so a malformed value is a config error; range checks
         # stay in the cell, where they make a failed row.
-        cast = {"scheme": str, "num_samples": int}.get(self.sweep_axis, float)
         for value in self.sweep_values:
-            try:
-                cast(value)
-            except (TypeError, ValueError):
-                raise ParameterError(f"bad {self.sweep_axis} sweep value "
-                                     f"{value!r}") from None
+            parse_key("attack", self.sweep_axis, value)
         if not self.seeds:
             raise ParameterError("seeds list must be non-empty")
 
@@ -102,78 +150,48 @@ class ResultRow:
         return (self.seed, self.value, self.scheme)
 
 
-def _get(section, key, cast, default):
-    if section is None or key not in section:
-        return default
-    raw = section[key].strip()
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ParameterError(f"bad value for {key}: {raw!r}") from exc
+def _replace_at(obj, path: str, value):
+    """obj with the field at a dotted attribute path replaced by value."""
+    head, _, rest = path.partition(".")
+    if rest:
+        value = _replace_at(getattr(obj, head), rest, value)
+    return replace(obj, **{head: value})
+
+
+def set_attack_key(config: ExperimentConfig, key: str, value
+                   ) -> ExperimentConfig:
+    """config with one parsed [attack] key or sweep value set in its field."""
+    return _replace_at(config, ATTACK_PATHS.get(key, f"attack.{key}"), value)
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Parse a key=value experiment config file."""
+    """Parse a key=value experiment config file; every key is checked and
+    parsed here, and a missing key keeps its dataclass default."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ParameterError(f"cannot read config file {path}")
-    ds = parser["dataset"] if "dataset" in parser else None
-    dataset = DatasetConfig(
-        kind=_get(ds, "kind", str, "sbm"),
-        n=_get(ds, "n", int, 100),
-        communities=_get(ds, "communities", int, 2),
-        p_in=_get(ds, "p_in", float, 0.1),
-        p_out=_get(ds, "p_out", float, 0.01),
-        feature_dim=_get(ds, "feature_dim", int, 8),
-        seed=_get(ds, "seed", int, 0),
-        edges=_get(ds, "edges", str, ""),
-        features=_get(ds, "features", str, ""),
-        labels=_get(ds, "labels", str, ""),
-        num_classes=_get(ds, "num_classes", int, None))
-    sp = parser["split"] if "split" in parser else None
-    ratios = (_get(sp, "train_ratio", float, 0.1),
-              _get(sp, "val_ratio", float, 0.1),
-              _get(sp, "test_ratio", float, 0.8))
-    seeds = tuple(int(tok) for tok in
-                  _get(sp, "seeds", str, "0").split(",") if tok.strip())
-    tr = parser["train"] if "train" in parser else None
-    train_config = TrainConfig(
-        learning_rate=_get(tr, "learning_rate", float, 0.05),
-        epochs=_get(tr, "epochs", int, 200),
-        weight_decay=_get(tr, "weight_decay", float, 5e-4),
-        hidden_dim=_get(tr, "hidden_dim", int, 16))
-    at = parser["attack"] if "attack" in parser else None
-    mode = _get(at, "mode", str, "evasion")
-    loss = LossKind(_get(at, "loss", str, "cross_entropy"),
-                    _get(at, "kappa", float, 0.0))
-    attack = AttackConfig(
-        budget=1,
-        iterations=_get(at, "iterations", int, 100 if mode == "evasion" else 10),
-        refresh_interval=_get(at, "refresh_interval", int,
-                              10 if mode == "evasion" else 2),
-        step_size=_get(at, "step_size", float, 0.1),
-        inner_step_size=_get(at, "inner_step_size", float, 0.01),
-        loss=loss,
-        smoothing=SmoothingConfig(
-            num_samples=_get(at, "num_samples", int,
-                             200 if mode == "evasion" else 20),
-            alpha=_get(at, "alpha", float, 0.1)),
-        noise=NoiseSpec(_get(at, "beta", float, 0.999)),
-        scheme=WeightScheme(_get(at, "scheme", str, "certified"),
-                            _get(at, "sharpness", float, 1.0)),
-        discretize_trials=_get(at, "discretize_trials", int, 20))
-    sw = parser["sweep"] if "sweep" in parser else None
-    axis = _get(sw, "axis", str, "scheme")
-    values = tuple(tok.strip() for tok in
-                   _get(sw, "values", str, "uniform,certified").split(",")
-                   if tok.strip())
-    out = parser["output"] if "output" in parser else None
-    return ExperimentConfig(
-        dataset=dataset, ratios=ratios, seeds=seeds, train=train_config,
-        mode=mode, budget_ratio=_get(at, "budget_ratio", float, 0.2),
-        attack=attack, sweep_axis=axis, sweep_values=values,
-        out_dir=_get(out, "directory", str, "out"))
+    values = {section: {} for section in KEYS}
+    for section in parser.sections():
+        if section not in KEYS:
+            raise ParameterError(f"unknown config section [{section}]")
+        values[section] = {key: parse_key(section, key, raw)
+                           for key, raw in parser[section].items()}
+    split, sweep = values["split"], values["sweep"]
+    config = ExperimentConfig(dataset=DatasetConfig(**values["dataset"]),
+                              train=TrainConfig(**values["train"]))
+    config = replace(
+        config,
+        ratios=tuple(split.get(key, ratio) for key, ratio in zip(
+            ("train_ratio", "val_ratio", "test_ratio"), config.ratios)),
+        seeds=split.get("seeds", config.seeds),
+        sweep_axis=sweep.get("axis", config.sweep_axis),
+        sweep_values=sweep.get("values", config.sweep_values),
+        out_dir=values["output"].get("directory", config.out_dir))
+    attack = values["attack"]
+    for key, value in {**MODE_DEFAULTS.get(attack.get("mode"), {}),
+                       **attack}.items():
+        config = set_attack_key(config, key, value)
+    return config
 
 
 def build_dataset(dataset: DatasetConfig) -> Graph:
@@ -188,28 +206,12 @@ def prepare_cell(config: ExperimentConfig, seed: int, value: str):
     """(graph, split, train config, attack config) of one sweep cell, with
     the sweep value and the per-seed streams applied."""
     graph = build_dataset(config.dataset)
+    config = set_attack_key(config, config.sweep_axis,
+                            parse_key("attack", config.sweep_axis, value))
     attack = config.attack
-    budget_ratio = config.budget_ratio
-    scheme = attack.scheme
-    smoothing = attack.smoothing
-    noise = attack.noise
-    axis = config.sweep_axis
-    if axis == "budget_ratio":
-        budget_ratio = float(value)
-    elif axis == "beta":
-        noise = NoiseSpec(float(value))
-    elif axis == "alpha":
-        smoothing = replace(smoothing, alpha=float(value))
-    elif axis == "num_samples":
-        smoothing = replace(smoothing, num_samples=int(value))
-    elif axis == "sharpness":
-        scheme = replace(scheme, a=float(value))
-    elif axis == "scheme":
-        scheme = replace(scheme, tag=value)
-    budget = int(budget_ratio * graph.num_edges)
-    attack = replace(attack, budget=budget,
-                     smoothing=replace(smoothing, seed=mix_seed(seed, 3)),
-                     scheme=replace(scheme, seed=mix_seed(seed, 4)),
+    attack = replace(attack, budget=int(config.budget_ratio * graph.num_edges),
+                     smoothing=replace(attack.smoothing, seed=mix_seed(seed, 3)),
+                     scheme=replace(attack.scheme, seed=mix_seed(seed, 4)),
                      seed=mix_seed(seed, 2))
     split = split_nodes(graph, config.ratios, seed)
     train_config = replace(config.train, seed=mix_seed(seed, 1))
@@ -254,9 +256,8 @@ def run_cell(config: ExperimentConfig, seed: int, value: str) -> ResultRow:
 def _row_record(row: ResultRow) -> list:
     fmt = lambda v: "" if v is None else repr(v)
     return [row.seed, row.axis, row.value, row.scheme, fmt(row.pre_accuracy),
-            fmt(row.post_accuracy),
-            "" if row.budget_used is None else row.budget_used,
-            row.status, row.reason]
+            fmt(row.post_accuracy), fmt(row.budget_used), row.status,
+            row.reason]
 
 RAW_HEADER = ["seed", "axis", "value", "scheme", "pre_accuracy",
               "post_accuracy", "budget_used", "status", "reason"]
@@ -376,15 +377,11 @@ def report_distribution(delta_binary: np.ndarray,
              {cert.node: cert.certified_size for cert in certificates})
     delta_binary = np.asarray(delta_binary)
     rows, cols = triu_pairs(infer_n(delta_binary.size))
-    histogram: dict = {}
+    histogram = Counter()
     for p in np.flatnonzero(delta_binary):
-        hit = False
-        for endpoint in (int(rows[p]), int(cols[p])):
-            if endpoint in sizes:
-                histogram[sizes[endpoint]] = histogram.get(sizes[endpoint], 0) + 1
-                hit = True
-        if not hit:
-            histogram["none"] = histogram.get("none", 0) + 1
+        hits = [sizes[end] for end in (int(rows[p]), int(cols[p]))
+                if end in sizes]
+        histogram.update(hits or ["none"])
     if path is not None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -393,7 +390,7 @@ def report_distribution(delta_binary: np.ndarray,
                 writer.writerow([key, histogram[key]])
             if "none" in histogram:
                 writer.writerow(["none", histogram["none"]])
-    return histogram
+    return dict(histogram)
 
 
 def low_size_fraction(histogram: dict, threshold: int = 1) -> float:
@@ -413,8 +410,7 @@ def runtime_profile(config: ExperimentConfig, sample_counts: list[int],
         config, config.seeds[0], config.sweep_values[0])
     results = []
     for n_samples in sample_counts:
-        cell_attack = replace(attack, smoothing=replace(
-            attack.smoothing, num_samples=n_samples))
+        cell_attack = _replace_at(attack, "smoothing.num_samples", n_samples)
         start = time.perf_counter()
         report = run_attack(config.mode, graph, split, train_config,
                             cell_attack)

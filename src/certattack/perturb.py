@@ -36,19 +36,6 @@ def infer_n(m: int) -> int:
     return n
 
 
-def vector_to_matrix(vec: np.ndarray, n: int) -> np.ndarray:
-    """Mirror an upper-triangle vector into a symmetric n-by-n matrix."""
-    vec = np.asarray(vec)
-    if vec.shape != (num_pairs(n),):
-        raise DimensionError(
-            f"expected vector of length {num_pairs(n)} for n={n}, got {vec.shape}")
-    out = np.zeros((n, n), dtype=vec.dtype)
-    rows, cols = triu_pairs(n)
-    out[rows, cols] = vec
-    out[cols, rows] = vec
-    return out
-
-
 def apply_perturbation(adjacency: np.ndarray, delta_binary: np.ndarray) -> np.ndarray:
     """XOR a binary upper-triangle flip vector into a binary adjacency.
 
@@ -88,7 +75,10 @@ def relax_perturbation(adjacency: np.ndarray, delta_relaxed: np.ndarray) -> np.n
             f"relaxed vector length {delta_relaxed.shape} does not match n={n}")
     if delta_relaxed.min(initial=0.0) < 0.0 or delta_relaxed.max(initial=0.0) > 1.0:
         raise DomainError("relaxed perturbation entries must lie in [0, 1]")
-    mirrored = vector_to_matrix(delta_relaxed, n)
+    rows, cols = triu_pairs(n)
+    mirrored = np.zeros((n, n))
+    mirrored[rows, cols] = delta_relaxed
+    mirrored[cols, rows] = delta_relaxed
     return adjacency + (1.0 - 2.0 * adjacency) * mirrored
 
 

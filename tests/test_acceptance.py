@@ -313,8 +313,11 @@ def test_criterion_9_runtime_scaling(tmp_path):
                          attack=replace(poison_cfg.attack, iterations=6,
                                         refresh_interval=2,
                                         scheme=WeightScheme("certified")))
-    rows = runtime_profile(poison_cfg, [5, 10, 20])
-    cert_times = {n: cert for n, _, cert in rows}
+    # Each N's time is the minimum of 3 runtime_profile runs, so that one
+    # stall of a shared host does not decide a ratio.
+    runs = [runtime_profile(poison_cfg, [5, 10, 20]) for _ in range(3)]
+    cert_times = {n: min(cert for run in runs for m, _, cert in run if m == n)
+                  for n in (5, 10, 20)}
     assert cert_times[20] <= 2.0 * (20 / 5) * cert_times[5], (
         f"poisoning certification not within 2x of linear: {cert_times}")
 
@@ -327,8 +330,9 @@ def test_criterion_9_runtime_scaling(tmp_path):
         attack=replace(evasion_cfg.attack, iterations=150,
                        refresh_interval=50,
                        scheme=WeightScheme("certified")))
-    rows = runtime_profile(evasion_cfg, [50, 200])
-    totals = {n: total for n, total, _ in rows}
+    runs = [runtime_profile(evasion_cfg, [50, 200]) for _ in range(3)]
+    totals = {n: min(total for run in runs for m, total, _ in run if m == n)
+              for n in (50, 200)}
     assert totals[200] <= 2.0 * totals[50], (
         f"evasion total time more than doubled: {totals}")
     _report(9, f"poisoning cert seconds {cert_times}; evasion totals "

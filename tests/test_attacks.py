@@ -375,3 +375,30 @@ class TestReportExport:
         assert len([l for l in lines if l and l[0].isdigit()]) >= 5
         assert "scheme,budget,pre_accuracy,post_accuracy,runtime_seconds" \
             in lines
+
+
+class TestDeltaEdges:
+    def test_write_read_roundtrip(self, tmp_path):
+        from certattack import read_delta_edges, write_delta_edges
+        graph = synth_sbm(20, 2, 0.4, 0.05, 3, seed=1)
+        delta = (np.random.default_rng(0).random(190) < 0.1).astype(np.int8)
+        path = tmp_path / "delta.tsv"
+        write_delta_edges(delta, graph.adjacency, path)
+        back = read_delta_edges(path, 20)
+        assert back.dtype == np.int8
+        np.testing.assert_array_equal(back, delta)
+
+    def test_default_n_holds_every_pair(self, tmp_path):
+        from certattack import read_delta_edges
+        path = tmp_path / "delta.tsv"
+        path.write_text("3 1 add\n\n0\t4\tremove\n")
+        back = read_delta_edges(path)
+        rows, cols = np.triu_indices(5, k=1)
+        assert sorted(zip(rows[back == 1], cols[back == 1])) == [(0, 4), (1, 3)]
+
+    def test_index_outside_n_names_line(self, tmp_path):
+        from certattack import GraphLoadError, read_delta_edges
+        path = tmp_path / "delta.tsv"
+        path.write_text("0\t1\tadd\n2\t5\tadd\n")
+        with pytest.raises(GraphLoadError, match=r"delta\.tsv:2"):
+            read_delta_edges(path, 5)

@@ -87,3 +87,16 @@ class TestCli:
         raw = (tmp_path / "out" / "raw_results.csv").read_text()
         seeds = {line.split(",")[0] for line in raw.splitlines()[1:]}
         assert seeds == {"7"}
+
+    @pytest.mark.parametrize("line", ["3 5", "4\t4\tadd", "2\tx\tadd",
+                                      "-1\t2\tadd"])
+    def test_report_distribution_bad_delta_is_config_error(self, tmp_path,
+                                                           capsys, line):
+        delta = tmp_path / "delta.tsv"
+        delta.write_text(f"0\t1\tadd\n{line}\n")
+        certs = tmp_path / "certificates.csv"
+        certs.write_text("node,K\n0,1\n5,0\n")
+        code = main(["report-distribution", "--delta", str(delta),
+                     "--certificates", str(certs), "--out", str(tmp_path)])
+        assert code == 1
+        assert f"config error: {delta}:2" in capsys.readouterr().err

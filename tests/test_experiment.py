@@ -1,13 +1,19 @@
+import configparser
 import csv
+import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from certattack import (Certificate, ParameterError, low_size_fraction,
-                        parse_config, report_distribution, run_sweep,
-                        runtime_profile)
+from certattack import (Certificate, NoiseSpec, ParameterError,
+                        low_size_fraction, parse_config, prepare_cell,
+                        report_distribution, run_sweep, runtime_profile)
 from certattack import experiment
-from certattack.experiment import ExperimentConfig, DatasetConfig, run_cell
+from certattack.cli import main
+from certattack.experiment import (SWEEP_AXES, DatasetConfig,
+                                   ExperimentConfig, run_cell)
 
 BASE_CONFIG = """
 [dataset]
@@ -90,6 +96,72 @@ class TestParseConfig:
         path = write_config(tmp_path, axis="beta", values="0.9,abc")
         with pytest.raises(ParameterError, match="abc"):
             parse_config(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (("learning_rate = 0.1", "learnig_rate = 7"),
+         r"unknown key 'learnig_rate' in section \[train\]"),
+        (("seeds = 0,1", "seeds = 0,x"), r"bad value for seeds: '0,x'"),
+        (("[attack]", "[atack]"), r"unknown config section \[atack\]"),
+    ])
+    def test_bad_key_is_config_error(self, tmp_path, capsys, edit, message):
+        path = write_config(tmp_path)
+        path.write_text(path.read_text().replace(*edit))
+        with pytest.raises(ParameterError, match=message):
+            parse_config(path)
+        assert main(["train", "--config", str(path)]) == 1
+        assert re.search(message, capsys.readouterr().err)
+
+    def test_missing_keys_keep_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "empty.ini"
+        path.write_text("[attack]\nbeta = 0.95\n")
+        default = ExperimentConfig(DatasetConfig())
+        assert parse_config(path) == replace(
+            default, attack=replace(default.attack, noise=NoiseSpec(0.95)))
+
+    def test_poisoning_mode_defaults(self, tmp_path):
+        path = tmp_path / "poison.ini"
+        path.write_text("[attack]\nmode = poisoning\niterations = 7\n")
+        attack = parse_config(path).attack
+        assert (attack.iterations, attack.refresh_interval,
+                attack.smoothing.num_samples) == (7, 2, 20)
+
+    def test_readme_config_lists_every_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        parse_config(path)
+        listed = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        listed.read_string(block)
+        assert {section: set(listed[section]) for section in listed.sections()
+                } == {section: set(keys)
+                      for section, keys in experiment.KEYS.items()}
+
+
+# Per sweep axis: a value unlike BASE_CONFIG's, and whether a prepared
+# cell's (graph, attack config) carries it.
+SWEPT = {
+    "budget_ratio": ("0.3", lambda graph, attack:
+                     attack.budget == int(0.3 * graph.num_edges)),
+    "beta": ("0.6", lambda graph, attack: attack.noise.beta == 0.6),
+    "alpha": ("0.05", lambda graph, attack: attack.smoothing.alpha == 0.05),
+    "num_samples": ("7", lambda graph, attack:
+                    attack.smoothing.num_samples == 7),
+    "sharpness": ("2.5", lambda graph, attack: attack.scheme.a == 2.5),
+    "scheme": ("degree", lambda graph, attack: attack.scheme.tag == "degree"),
+}
+
+
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_sweep_value_reaches_cell(tmp_path, axis):
+    value, carries = SWEPT[axis]
+    base = parse_config(write_config(tmp_path, name="base.ini", seeds="0"))
+    graph, _, _, attack = prepare_cell(base, 0, "certified")
+    assert not carries(graph, attack)
+    config = parse_config(write_config(tmp_path, axis=axis, values=value,
+                                       seeds="0"))
+    graph, _, _, attack = prepare_cell(config, 0, value)
+    assert carries(graph, attack)
 
 
 class TestRunSweep:

@@ -217,9 +217,9 @@ def discretize(relaxed: np.ndarray, budget: int, trials: int,
     return best
 
 
-def _attack_loop(graph: Graph, targets: np.ndarray, labels: np.ndarray,
-                 model: GCNParams, config: AttackConfig, certify, evaluate,
-                 model_step=None,
+def _attack_loop(graph: Graph, split: DataSplit, targets: np.ndarray,
+                 labels: np.ndarray, model: GCNParams, config: AttackConfig,
+                 certify, model_on, model_step=None,
                  record_trajectory: bool = False) -> AttackReport:
     """Weighted projected-gradient ascent on the relaxed perturbation.
 
@@ -227,8 +227,8 @@ def _attack_loop(graph: Graph, targets: np.ndarray, labels: np.ndarray,
     iterations from certify(snapshot) -> label counts on the binarized
     snapshot of the current perturbation; other schemes compute their
     weights once.  model_step(model, delta, w_full) -> model, when given,
-    runs before each ascent step.  evaluate(binary) -> (pre, post) scores
-    the discretized perturbation.
+    runs before each ascent step.  The discretized perturbation is scored
+    by evaluate_attack with model_on(adjacency) -> the model to test.
     """
     start = time.perf_counter()
     A = graph.adjacency
@@ -274,7 +274,7 @@ def _attack_loop(graph: Graph, targets: np.ndarray, labels: np.ndarray,
     rng = np.random.default_rng(mix_seed(config.seed, 0xD15C))
     binary = discretize(delta, config.budget, config.discretize_trials, rng,
                         attack_objective)
-    pre, post = evaluate(binary)
+    pre, post = evaluate_attack(graph, split, binary, model_on)
     return AttackReport(
         perturbation=Perturbation(delta, config.budget, binary),
         pre_attack_accuracy=pre, post_attack_accuracy=post,
@@ -304,11 +304,8 @@ def pgd_evasion(params: GCNParams, graph: Graph, split: DataSplit,
         return mc_counts_evasion(params, snapshot, graph.features, targets,
                                  config.noise, config.smoothing)
 
-    def evaluate(binary):
-        return evaluate_attack(graph, split, binary, "evasion", params=params)
-
-    return _attack_loop(graph, targets, graph.labels, params, config,
-                        certify, evaluate,
+    return _attack_loop(graph, split, targets, graph.labels, params, config,
+                        certify, lambda _: params,
                         record_trajectory=record_trajectory)
 
 
@@ -346,42 +343,28 @@ def minmax_poisoning(graph: Graph, split: DataSplit,
         return GCNParams(theta.W1 - config.inner_step_size * gW1,
                          theta.W2 - config.inner_step_size * gW2)
 
-    def evaluate(binary):
-        return evaluate_attack(graph, split, binary, "poisoning",
-                               train_config=train_config)
+    def retrain(adjacency):
+        return train(graph, split, adjacency, train_config)
 
-    return _attack_loop(graph, targets, labels_masked, theta, config,
-                        certify, evaluate, model_step=model_step,
+    return _attack_loop(graph, split, targets, labels_masked, theta, config,
+                        certify, retrain, model_step=model_step,
                         record_trajectory=record_trajectory)
 
 
 def evaluate_attack(graph: Graph, split: DataSplit, delta_binary: np.ndarray,
-                    mode: str, *, params: GCNParams | None = None,
-                    train_config: TrainConfig | None = None):
-    """(pre, post) test accuracy around a binary perturbation.
+                    model_on) -> tuple[float, float]:
+    """(pre, post) test accuracy around a binary perturbation: the model
+    model_on(adjacency) scored on the clean and on the XOR-perturbed graph.
 
-    Evasion scores a fixed model on the clean and XOR-perturbed graphs;
-    poisoning retrains from scratch (clean unweighted loss, same seed
-    policy) on each graph before scoring.
+    Evasion passes its fixed model (lambda _: params); poisoning retrains
+    from scratch (clean unweighted loss, same seed policy) on each graph.
     """
-    perturbed = apply_perturbation(graph.adjacency, delta_binary)
-    if mode == "evasion":
-        if params is None:
-            raise ParameterError("evasion evaluation needs trained params")
-        preds_pre = predict_all(params, graph.adjacency, graph.features)
-        preds_post = predict_all(params, perturbed, graph.features)
-    elif mode == "poisoning":
-        if train_config is None:
-            raise ParameterError("poisoning evaluation needs a train config")
-        model_pre = train(graph, split, graph.adjacency, train_config)
-        model_post = train(graph, split, perturbed, train_config)
-        preds_pre = predict_all(model_pre, graph.adjacency, graph.features)
-        preds_post = predict_all(model_post, perturbed, graph.features)
-    else:
-        raise ParameterError(f"unknown attack mode {mode!r}")
-    pre = classification_accuracy(preds_pre, graph.labels, split.test)
-    post = classification_accuracy(preds_post, graph.labels, split.test)
-    return pre, post
+    def accuracy(adjacency):
+        preds = predict_all(model_on(adjacency), adjacency, graph.features)
+        return classification_accuracy(preds, graph.labels, split.test)
+
+    return (accuracy(graph.adjacency),
+            accuracy(apply_perturbation(graph.adjacency, delta_binary)))
 
 
 def write_report_csv(report: AttackReport, scheme_tag: str, path) -> None:

@@ -9,8 +9,9 @@ from pathlib import Path
 
 from .attacks import read_delta_edges, write_delta_edges, write_report_csv
 from .errors import CertAttackError, GraphLoadError, ParameterError
-from .experiment import (parse_config, prepare_cell, report_distribution,
-                         run_attack, run_sweep, runtime_profile)
+from .experiment import (parse_config, parse_key, prepare_cell,
+                         report_distribution, run_attack, run_sweep,
+                         runtime_profile)
 from .gcn import load_params, predict_all, save_params, train
 from .graph import classification_accuracy
 from .smoothing import (certify_nodes, read_certificates_csv,
@@ -33,30 +34,32 @@ def _build_parser():
         prog="certattack",
         description="certificate-guided attacks on graph neural networks")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("train", parents=[common],
-                   help="train a clean model and save a checkpoint")
-    cert = sub.add_parser("certify", parents=[common],
-                          help="certify target nodes via randomized smoothing")
+
+    def command(name, run, text):
+        cmd = sub.add_parser(name, parents=[common], help=text)
+        cmd.set_defaults(run=run)
+        return cmd
+
+    command("train", cmd_train, "train a clean model and save a checkpoint")
+    cert = command("certify", cmd_certify,
+                   "certify target nodes via randomized smoothing")
     cert.add_argument("--params", type=Path, default=None,
-                      help="load a checkpoint instead of retraining")
-    sub.add_parser("attack-evasion", parents=[common],
-                   help="run the PGD evasion attack")
-    sub.add_parser("attack-poisoning", parents=[common],
-                   help="run the Minmax poisoning attack")
-    sweep = sub.add_parser("sweep", parents=[common],
-                           help="run the configured experiment sweep")
+                      help="evasion: load a checkpoint instead of retraining")
+    command("attack", cmd_attack, "run the config's attack mode (PGD "
+            "evasion or Min-max poisoning)")
+    sweep = command("sweep", cmd_sweep, "run the configured experiment sweep")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="concurrent sweep workers")
     sweep.add_argument("--resume", action="store_true",
                        help="skip sweep cells with an ok row in the raw CSV")
-    dist = sub.add_parser("report-distribution", parents=[common],
-                          help="histogram perturbed edges by certified size")
+    dist = command("report-distribution", cmd_report_distribution,
+                   "histogram perturbed edges by certified size")
     dist.add_argument("--delta", type=Path, required=True,
                       help="edge-flip list produced by an attack")
     dist.add_argument("--certificates", type=Path, required=True,
                       help="certificate CSV for the target nodes")
-    prof = sub.add_parser("profile", parents=[common],
-                          help="time attack and certification phases per N")
+    prof = command("profile", cmd_profile,
+                   "time attack and certification phases per N")
     prof.add_argument("--samples", type=str, default="5,10,20",
                       help="comma-separated Monte Carlo sample counts")
     return parser
@@ -94,22 +97,28 @@ def cmd_certify(args) -> int:
     config = _load_config(args)
     graph, split, train_config, attack = prepare_cell(
         config, config.seeds[0], config.sweep_values[0])
+    evasion = config.mode == "evasion"
+    params = None
+    if args.params:
+        if not evasion:
+            raise ParameterError("--params is for evasion only; poisoning "
+                                 "certification trains its own replicates")
+        params = load_params(args.params)
+        d, C = graph.features.shape[1], graph.num_classes
+        if params.W1.shape[0] != d or params.W2.shape[1] != C:
+            raise ParameterError(
+                f"{args.params}: checkpoint W1 {params.W1.shape} and W2 "
+                f"{params.W2.shape} do not fit {d} features and {C} classes")
+    elif evasion:
+        params = train(graph, split, graph.adjacency, train_config)
+    certs = certify_nodes(
+        config.mode, target_nodes=split.test if evasion else split.train,
+        labels=graph.labels, spec=attack.noise, config=attack.smoothing,
+        adjacency=graph.adjacency, features=graph.features, params=params,
+        train_idx=split.train, train_config=train_config,
+        num_classes=graph.num_classes)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if config.mode == "evasion":
-        params = (load_params(args.params) if args.params
-                  else train(graph, split, graph.adjacency, train_config))
-        certs = certify_nodes(
-            "evasion", target_nodes=split.test, labels=graph.labels,
-            spec=attack.noise, config=attack.smoothing,
-            adjacency=graph.adjacency, features=graph.features, params=params)
-    else:
-        certs = certify_nodes(
-            "poisoning", target_nodes=split.train, labels=graph.labels,
-            spec=attack.noise, config=attack.smoothing,
-            adjacency=graph.adjacency, features=graph.features,
-            train_idx=split.train, train_config=train_config,
-            num_classes=graph.num_classes)
     path = out_dir / "certificates.csv"
     write_certificates_csv(certs, attack.noise, attack.smoothing, path)
     certified = sum(1 for c in certs if c.certified_size > 0)
@@ -117,18 +126,18 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def cmd_attack(args, mode: str) -> int:
+def cmd_attack(args) -> int:
     config = _load_config(args)
     graph, split, train_config, attack = prepare_cell(
         config, config.seeds[0], config.sweep_values[0])
-    report = run_attack(mode, graph, split, train_config, attack)
+    report = run_attack(config.mode, graph, split, train_config, attack)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report_csv(report, attack.scheme.tag, out_dir / "attack_report.csv")
     write_delta_edges(report.perturbation.binary, graph.adjacency,
                       out_dir / "delta_edges.tsv")
-    print(f"{mode} attack: scheme={attack.scheme.tag} budget={attack.budget} "
-          f"flips={report.budget_used}")
+    print(f"{config.mode} attack: scheme={attack.scheme.tag} "
+          f"budget={attack.budget} flips={report.budget_used}")
     print(f"accuracy {report.pre_attack_accuracy:.4f} -> "
           f"{report.post_attack_accuracy:.4f} "
           f"({report.attack_seconds:.2f}s, cert {report.cert_seconds:.2f}s)")
@@ -160,7 +169,8 @@ def cmd_report_distribution(args) -> int:
 
 def cmd_profile(args) -> int:
     config = _load_config(args)
-    counts = [int(tok) for tok in args.samples.split(",") if tok.strip()]
+    counts = [parse_key("attack", "num_samples", tok)
+              for tok in args.samples.split(",") if tok.strip()]
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "runtime_profile.csv"
@@ -174,28 +184,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "certify":
-            return cmd_certify(args)
-        if args.command == "attack-evasion":
-            return cmd_attack(args, "evasion")
-        if args.command == "attack-poisoning":
-            return cmd_attack(args, "poisoning")
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "report-distribution":
-            return cmd_report_distribution(args)
-        if args.command == "profile":
-            return cmd_profile(args)
-        raise ParameterError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ParameterError, GraphLoadError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CertAttackError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (CertAttackError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -26,7 +26,12 @@ class NumericError(CertAttackError, ArithmeticError):
 
 
 class TrainingError(CertAttackError):
-    """Training diverged; message reports the epoch."""
+    """Training diverged; message reports the epoch, and `model` the index
+    of the failing model in a stacked training."""
+
+    def __init__(self, message: str, model: int = 0):
+        super().__init__(message)
+        self.model = model
 
 
 class CertificationError(CertAttackError):

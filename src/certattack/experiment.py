@@ -253,6 +253,13 @@ def run_cell(config: ExperimentConfig, seed: int, value: str) -> ResultRow:
     return row
 
 
+def _write_csv(path, header: list, records) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(records)
+
+
 def _row_record(row: ResultRow) -> list:
     fmt = lambda v: "" if v is None else repr(v)
     return [row.seed, row.axis, row.value, row.scheme, fmt(row.pre_accuracy),
@@ -319,20 +326,14 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
         fresh = [run_cell(config, s, v) for s, v in pending]
     rows = list(existing.values()) + fresh
     rows.sort(key=ResultRow.sort_key)
-    with open(raw_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RAW_HEADER)
-        for row in rows:
-            writer.writerow(_row_record(row))
-    _write_summary(rows, out_dir / "summary.csv")
-    with open(out_dir / "timings.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "value", "scheme", "attack_seconds",
-                         "cert_seconds"])
-        for row in rows:
-            writer.writerow([row.seed, row.value, row.scheme,
-                             f"{row.attack_seconds:.6f}",
-                             f"{row.cert_seconds:.6f}"])
+    _write_csv(raw_path, RAW_HEADER, map(_row_record, rows))
+    _write_csv(out_dir / "summary.csv",
+               ["value", "scheme", "cells", "failures", "mean_pre", "std_pre",
+                "mean_post", "std_post"], _summary_records(rows))
+    _write_csv(out_dir / "timings.csv",
+               ["seed", "value", "scheme", "attack_seconds", "cert_seconds"],
+               ([row.seed, row.value, row.scheme, f"{row.attack_seconds:.6f}",
+                 f"{row.cert_seconds:.6f}"] for row in rows))
     return rows
 
 
@@ -340,26 +341,21 @@ def _cell_scheme_tag(config: ExperimentConfig, value: str) -> str:
     return value if config.sweep_axis == "scheme" else config.attack.scheme.tag
 
 
-def _write_summary(rows: list[ResultRow], path) -> None:
+def _summary_records(rows: list[ResultRow]):
     groups: dict = {}
     for row in rows:
         groups.setdefault((row.value, row.scheme), []).append(row)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "scheme", "cells", "failures", "mean_pre",
-                         "std_pre", "mean_post", "std_post"])
-        for (value, scheme) in sorted(groups):
-            cell_rows = groups[(value, scheme)]
-            ok = [r for r in cell_rows if r.status == "ok"]
-            record = [value, scheme, len(cell_rows), len(cell_rows) - len(ok)]
-            if ok:
-                pre = np.asarray([r.pre_accuracy for r in ok])
-                post = np.asarray([r.post_accuracy for r in ok])
-                record += [repr(float(pre.mean())), repr(float(pre.std())),
-                           repr(float(post.mean())), repr(float(post.std()))]
-            else:
-                record += ["", "", "", ""]
-            writer.writerow(record)
+    for (value, scheme), cell_rows in sorted(groups.items()):
+        ok = [r for r in cell_rows if r.status == "ok"]
+        record = [value, scheme, len(cell_rows), len(cell_rows) - len(ok)]
+        if ok:
+            pre = np.asarray([r.pre_accuracy for r in ok])
+            post = np.asarray([r.post_accuracy for r in ok])
+            record += [repr(float(pre.mean())), repr(float(pre.std())),
+                       repr(float(post.mean())), repr(float(post.std()))]
+        else:
+            record += ["", "", "", ""]
+        yield record
 
 
 def report_distribution(delta_binary: np.ndarray,
@@ -383,13 +379,11 @@ def report_distribution(delta_binary: np.ndarray,
                 if end in sizes]
         histogram.update(hits or ["none"])
     if path is not None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["certified_size", "edge_count"])
-            for key in sorted(k for k in histogram if k != "none"):
-                writer.writerow([key, histogram[key]])
-            if "none" in histogram:
-                writer.writerow(["none", histogram["none"]])
+        keys = sorted(k for k in histogram if k != "none")
+        if "none" in histogram:
+            keys.append("none")
+        _write_csv(path, ["certified_size", "edge_count"],
+                   [[key, histogram[key]] for key in keys])
     return dict(histogram)
 
 
@@ -417,9 +411,7 @@ def runtime_profile(config: ExperimentConfig, sample_counts: list[int],
         total = time.perf_counter() - start
         results.append((n_samples, total, report.cert_seconds))
     if path is not None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["num_samples", "attack_seconds", "cert_seconds"])
-            for n_samples, total, cert in results:
-                writer.writerow([n_samples, f"{total:.6f}", f"{cert:.6f}"])
+        _write_csv(path, ["num_samples", "attack_seconds", "cert_seconds"],
+                   ([n, f"{total:.6f}", f"{cert:.6f}"]
+                    for n, total, cert in results))
     return results

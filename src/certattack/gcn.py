@@ -129,18 +129,6 @@ def predict_all(params: GCNParams, adjacency: np.ndarray,
     return np.argmax(forward(params, adjacency, features), axis=1)
 
 
-def node_loss(logits_row: np.ndarray, label: int, kind: LossKind) -> float:
-    """Loss of one node given its logit row."""
-    z = np.asarray(logits_row, dtype=np.float64)
-    if not 0 <= label < z.size:
-        raise ParameterError(f"label {label} outside [0, {z.size})")
-    if kind.tag == "cross_entropy":
-        shifted = z - z.max()
-        return float(np.log(np.exp(shifted).sum()) - shifted[label])
-    others = np.delete(z, label)
-    return float(max(others.max() - z[label], -kind.kappa))
-
-
 def _loss_rows(logits, labels, kind):
     """Vectorized per-node losses and d(loss)/d(logits) rows.
 
@@ -289,7 +277,9 @@ def train_arrays(adjacency_real: np.ndarray, features: np.ndarray,
     lockstep, model b from seeds[b], and returns a list of B GCNParams;
     every operation works slice by slice in the order of a single
     training, so each model is bit-identical to training its adjacency
-    alone.  A divergence in any model raises for the whole stack.
+    alone.  A divergence raises TrainingError for the lowest failing
+    model, with the epoch at which it fails alone and its index as
+    `model`; the stack stops early only when model 0 diverges.
     """
     A = np.asarray(adjacency_real, dtype=np.float64)
     single = A.ndim == 2 and seeds is None
@@ -311,19 +301,25 @@ def train_arrays(adjacency_real: np.ndarray, features: np.ndarray,
     weights = np.zeros(X.shape[0])
     weights[train_idx] = 1.0 / train_idx.size
     wd = config.weight_decay
+    failed_at = np.full(len(seeds), -1)  # each model's first bad epoch
     for epoch in range(config.epochs):
         data_loss, gW1, gW2, _ = _backward(W1, W2, normalized, X, labels,
                                            weights, CROSS_ENTROPY, False)
-        if not np.isfinite(data_loss).all():
-            raise TrainingError(f"loss diverged at epoch {epoch}")
+        failed_at[(failed_at < 0) & ~np.isfinite(data_loss)] = epoch
+        if failed_at[0] >= 0:
+            break
         W1 = W1 - config.learning_rate * (gW1 + wd * W1)
         W2 = W2 - config.learning_rate * (gW2 + wd * W2)
-    final_rows, _ = _loss_rows(_propagate(W1, W2, normalized[3], X)[4],
-                               labels, CROSS_ENTROPY)
-    final = final_rows @ weights + 0.5 * wd * (
-        np.sum(W1 * W1, axis=(1, 2)) + np.sum(W2 * W2, axis=(1, 2)))
-    if not np.isfinite(final).all():
-        raise TrainingError(f"loss diverged at epoch {config.epochs}")
+    else:
+        final_rows, _ = _loss_rows(_propagate(W1, W2, normalized[3], X)[4],
+                                   labels, CROSS_ENTROPY)
+        final = final_rows @ weights + 0.5 * wd * (
+            np.sum(W1 * W1, axis=(1, 2)) + np.sum(W2 * W2, axis=(1, 2)))
+        failed_at[(failed_at < 0) & ~np.isfinite(final)] = config.epochs
+    failed = np.flatnonzero(failed_at >= 0)
+    if failed.size:
+        b = int(failed[0])
+        raise TrainingError(f"loss diverged at epoch {failed_at[b]}", model=b)
     models = [GCNParams(w1, w2) for w1, w2 in zip(W1, W2)]
     return models[0] if single else models
 
@@ -351,18 +347,23 @@ def save_params(params: GCNParams, path) -> None:
 
 
 def load_params(path) -> GCNParams:
+    """Inverse of save_params; a file that is not a whole checkpoint is a
+    ParameterError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
+        def read(size):
+            buf = fh.read(size)
+            if len(buf) != size:
+                raise ParameterError(f"{path}: truncated checkpoint")
+            return buf
+
+        if fh.read(len(_MAGIC)) != _MAGIC:
             raise ParameterError(f"{path}: not a GCN checkpoint")
-        (version,) = struct.unpack("<Q", fh.read(8))
+        (version,) = struct.unpack("<Q", read(8))
         if version != _VERSION:
             raise ParameterError(f"{path}: unsupported checkpoint version {version}")
         mats = []
         for _ in range(2):
-            rows, cols = struct.unpack("<QQ", fh.read(16))
-            buf = fh.read(rows * cols * 8)
-            if len(buf) != rows * cols * 8:
-                raise ParameterError(f"{path}: truncated checkpoint")
+            rows, cols = struct.unpack("<QQ", read(16))
+            buf = read(rows * cols * 8)
             mats.append(np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy())
     return GCNParams(*mats)

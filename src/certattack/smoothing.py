@@ -15,13 +15,13 @@ highest-ratio region down, fractionally at the boundary.
 """
 import csv
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaincinv, gammaln
 
-from .errors import (CapacityError, CertAttackError, CertificationError,
-                     ParameterError)
+from .errors import (CapacityError, CertificationError, GraphLoadError,
+                     ParameterError, TrainingError)
 from .gcn import GCNParams, TrainConfig, predict_all, train_arrays
 from .perturb import apply_perturbation, num_pairs
 
@@ -30,8 +30,6 @@ DEFAULT_RADIUS_CAP = 2000
 # Poisoning replicates train in lockstep blocks of about this many
 # adjacency entries: STACK_ENTRIES // n**2 replicates, 10 at n = 100.
 STACK_ENTRIES = 100_000
-
-_FAILURES = (CertAttackError, ArithmeticError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -70,11 +68,6 @@ class Certificate:
     saturated: bool = False
 
 
-def _stream_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence([seed % (2 ** 63), int(index)]))
-
-
 def mix_seed(seed: int, salt: int) -> int:
     """Deterministic derived seed for replicate / sub-stream use."""
     ss = np.random.SeedSequence([seed % (2 ** 63), int(salt)])
@@ -87,7 +80,8 @@ def sample_noise(spec: NoiseSpec, n: int, seed: int, index: int) -> np.ndarray:
     Deterministic given (seed, index); applied to graphs via the XOR of
     apply_perturbation, which is self-inverse.
     """
-    rng = _stream_rng(seed, index)
+    rng = np.random.default_rng(
+        np.random.SeedSequence([seed % (2 ** 63), int(index)]))
     return (rng.random(num_pairs(n)) < 1.0 - spec.beta).astype(np.int8)
 
 
@@ -121,8 +115,8 @@ def mc_counts_poisoning(adjacency: np.ndarray, features: np.ndarray,
     Replicate j trains on A xor eps_j with a seed derived from
     (train_config.seed, j) and predicts the targets on its own noisy
     graph.  Replicates train in stacked blocks of STACK_ENTRIES // n**2;
-    if a block fails, it is retrained one replicate at a time, so the
-    error names the lowest failing replicate exactly as it fails alone.
+    a divergence names the lowest failing replicate and its own epoch,
+    exactly as it fails alone.
     """
     targets = np.asarray(target_nodes, dtype=np.int64)
     counts = np.zeros((targets.size, num_classes), dtype=np.int64)
@@ -133,24 +127,15 @@ def mc_counts_poisoning(adjacency: np.ndarray, features: np.ndarray,
         js = range(start, min(start + block, config.num_samples))
         noisy = np.stack([apply_perturbation(
             adjacency, sample_noise(spec, n, config.seed, j)) for j in js])
-        seeds = [mix_seed(train_config.seed, j) for j in js]
         try:
             models = train_arrays(noisy, features, labels, train_idx,
-                                  train_config, num_classes, seeds)
-        except _FAILURES:
-            models = None
-        for b, j in enumerate(js):
-            if models is None:
-                try:
-                    params_j = train_arrays(
-                        noisy[b], features, labels, train_idx,
-                        replace(train_config, seed=seeds[b]), num_classes)
-                except _FAILURES as exc:
-                    raise CertificationError(
-                        f"replicate {j} failed: {exc}") from exc
-            else:
-                params_j = models[b]
-            preds = predict_all(params_j, noisy[b], features)
+                                  train_config, num_classes,
+                                  [mix_seed(train_config.seed, j) for j in js])
+        except TrainingError as exc:
+            raise CertificationError(
+                f"replicate {js[exc.model]} failed: {exc}") from exc
+        for params_j, noisy_j in zip(models, noisy):
+            preds = predict_all(params_j, noisy_j, features)
             counts[rows, preds[targets]] += 1
     return counts
 
@@ -201,8 +186,14 @@ def worst_case_retained(p_lower: float, beta: float, radius: int) -> float:
     return float(1.0 - removed)
 
 
-def _certified_size_scan(p_lower: float, spec: NoiseSpec,
-                         r_max: int) -> tuple[int, bool]:
+def certified_size(p_lower: float, spec: NoiseSpec,
+                   r_max: int = DEFAULT_RADIUS_CAP) -> int:
+    """Largest radius r with rho(r) > 1/2; zero when p_lower <= 1/2.
+
+    Scans r upward and stops at the first failure; if the scan reaches
+    r_max without failing, r_max is returned with a saturation warning,
+    so a size of r_max means the scan saturated.
+    """
     if not 0.0 <= p_lower <= 1.0:
         raise ParameterError(f"p_lower must lie in [0, 1], got {p_lower}")
     if spec.beta >= 1.0:
@@ -210,7 +201,7 @@ def _certified_size_scan(p_lower: float, spec: NoiseSpec,
             "certified size is undefined at beta = 1 (likelihood ratio "
             "degenerates)")
     if p_lower <= 0.5:
-        return 0, False
+        return 0
     prev_rho = np.inf
     for r in range(1, r_max + 1):
         rho = worst_case_retained(p_lower, spec.beta, r)
@@ -219,22 +210,10 @@ def _certified_size_scan(p_lower: float, spec: NoiseSpec,
                 f"worst-case probability increased from {prev_rho} to {rho} "
                 f"at radius {r}; monotonicity assumption violated")
         if rho <= 0.5:
-            return r - 1, False
+            return r - 1
         prev_rho = rho
-    return r_max, True
-
-
-def certified_size(p_lower: float, spec: NoiseSpec,
-                   r_max: int = DEFAULT_RADIUS_CAP) -> int:
-    """Largest radius r with rho(r) > 1/2; zero when p_lower <= 1/2.
-
-    Scans r upward and stops at the first failure; if the scan reaches
-    r_max without failing, r_max is returned with a saturation warning.
-    """
-    size, saturated = _certified_size_scan(p_lower, spec, r_max)
-    if saturated:
-        warnings.warn(f"certified size saturated at the scan cap {r_max}")
-    return size
+    warnings.warn(f"certified size saturated at the scan cap {r_max}")
+    return r_max
 
 
 def exact_smoothed_probs(params: GCNParams, adjacency: np.ndarray,
@@ -273,12 +252,11 @@ def certificates_from_counts(counts: np.ndarray, target_nodes: np.ndarray,
         true_label = int(labels[node])
         p_low = lower_bound_prob(int(row[true_label]), config.num_samples,
                                  config.alpha)
-        size, saturated = 0, False
+        size = 0
         if smoothed == true_label and p_low > 0.5:
-            size, saturated = _certified_size_scan(p_low, spec,
-                                                   DEFAULT_RADIUS_CAP)
+            size = certified_size(p_low, spec, DEFAULT_RADIUS_CAP)
         certs.append(Certificate(int(node), true_label, row.copy(), smoothed,
-                                 p_low, size, saturated))
+                                 p_low, size, size == DEFAULT_RADIUS_CAP))
     return certs
 
 
@@ -328,9 +306,22 @@ def write_certificates_csv(certs: list[Certificate], spec: NoiseSpec,
 
 
 def read_certificates_csv(path) -> dict[int, int]:
-    """node -> certified size map from an exported certificate CSV."""
+    """node -> certified size map from an exported certificate CSV.
+
+    A missing node or K column, or a node or K that is not a nonnegative
+    integer, is a GraphLoadError naming the file and line.
+    """
     sizes = {}
     with open(path, "r", newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh, restval="")
+        if not {"node", "K"} <= set(reader.fieldnames or ()):
+            raise GraphLoadError(f"{path}:1: need node and K columns, got "
+                                 f"{reader.fieldnames}")
+        for row in reader:
+            # A decimal string is a nonnegative integer that int() reads.
+            if not (row["node"].isdecimal() and row["K"].isdecimal()):
+                raise GraphLoadError(
+                    f"{path}:{reader.line_num}: node and K must be "
+                    f"nonnegative integers, got {row['node']!r}, {row['K']!r}")
             sizes[int(row["node"])] = int(row["K"])
     return sizes

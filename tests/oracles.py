@@ -3,7 +3,7 @@
 Everything here deliberately avoids the production code paths it checks:
 exact rational arithmetic for the Neyman-Pearson worst case, breakpoint
 scanning for the capped-box projection, brute-force enumeration for
-certified sizes, and a dense XOR for edge flips.
+certified sizes, a dense XOR for edge flips, and a one-node loss.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -134,3 +134,16 @@ def brute_force_certified_size(params, adjacency, features, node, label,
             if int(np.argmax(probs[node])) != label:
                 return radius - 1
     return max_radius
+
+
+def node_loss(logits_row: np.ndarray, label: int, kind) -> float:
+    """Loss of one node given its logit row: the scalar reference of the
+    vectorized per-node losses (cross-entropy, or the CW margin
+    max(max_{c != y} z_c - z_y, -kappa))."""
+    z = np.asarray(logits_row, dtype=np.float64)
+    assert 0 <= label < z.size
+    if kind.tag == "cross_entropy":
+        shifted = z - z.max()
+        return float(np.log(np.exp(shifted).sum()) - shifted[label])
+    others = np.delete(z, label)
+    return float(max(others.max() - z[label], -kind.kappa))

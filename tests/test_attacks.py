@@ -7,11 +7,11 @@ from certattack import (AttackConfig, Certificate, LossKind, NoiseSpec,
                         ParameterError, SmoothingConfig, TrainConfig,
                         WeightScheme, apply_perturbation, cr_loss, discretize,
                         evaluate_attack, forward, gradients, init_params,
-                        minmax_poisoning, node_loss, node_weights,
+                        minmax_poisoning, node_weights,
                         pgd_evasion, project_budget, split_nodes,
                         synth_sbm, top_delta_binary, train)
 from certattack.graph import DataSplit, Graph
-from oracles import project_capped_box_exact
+from oracles import node_loss, project_capped_box_exact
 
 
 def make_certs(nodes, sizes):
@@ -173,8 +173,7 @@ class TestEvaluateAttack:
     def test_zero_delta_evasion_identity(self, sbm_setup):
         graph, split, params = sbm_setup
         delta = np.zeros(graph.num_pairs, dtype=np.int8)
-        pre, post = evaluate_attack(graph, split, delta, "evasion",
-                                    params=params)
+        pre, post = evaluate_attack(graph, split, delta, lambda _: params)
         assert pre == post
 
     def test_zero_delta_poisoning_identity(self, tiny_graph):
@@ -182,8 +181,9 @@ class TestEvaluateAttack:
                           n=4)
         tc = TrainConfig(epochs=80, seed=0)
         delta = np.zeros(tiny_graph.num_pairs, dtype=np.int8)
-        pre, post = evaluate_attack(tiny_graph, split, delta, "poisoning",
-                                    train_config=tc)
+        pre, post = evaluate_attack(
+            tiny_graph, split, delta,
+            lambda adjacency: train(tiny_graph, split, adjacency, tc))
         assert pre == post
 
     def test_far_flips_leave_two_hop_predictions_unchanged(self):
@@ -197,8 +197,7 @@ class TestEvaluateAttack:
         rows, cols = np.triu_indices(10, k=1)
         far_pair = np.flatnonzero((rows == 8) & (cols == 9))[0]
         delta[far_pair] = 1
-        pre, post = evaluate_attack(graph, split, delta, "evasion",
-                                    params=params)
+        pre, post = evaluate_attack(graph, split, delta, lambda _: params)
         assert pre == post
         clean_logits = forward(params, graph.adjacency, graph.features)
         pert_logits = forward(params, apply_perturbation(graph.adjacency,
@@ -210,8 +209,7 @@ class TestEvaluateAttack:
         graph, split, params = sbm_setup
         rng = np.random.default_rng(2)
         delta = (rng.random(graph.num_pairs) < 0.01).astype(np.int8)
-        pre, post = evaluate_attack(graph, split, delta, "evasion",
-                                    params=params)
+        pre, post = evaluate_attack(graph, split, delta, lambda _: params)
         assert 0.0 <= pre <= 1.0 and 0.0 <= post <= 1.0
 
 

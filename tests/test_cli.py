@@ -1,7 +1,15 @@
 import pytest
 
+from certattack import init_params, save_params
 from certattack.cli import main
 from test_experiment import write_config
+
+
+def poisoning_config(tmp_path):
+    config = write_config(tmp_path)
+    config.write_text(config.read_text().replace("mode = evasion",
+                                                 "mode = poisoning"))
+    return config
 
 
 class TestCli:
@@ -19,14 +27,24 @@ class TestCli:
 
     def test_attack_evasion_outputs(self, tmp_path, capsys):
         config = write_config(tmp_path)
-        assert main(["attack-evasion", "--config", str(config)]) == 0
+        assert main(["attack", "--config", str(config)]) == 0
         assert (tmp_path / "out" / "attack_report.csv").exists()
         assert (tmp_path / "out" / "delta_edges.tsv").exists()
-        assert "accuracy" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.startswith("evasion attack:") and "accuracy" in out
 
-    def test_attack_poisoning_runs(self, tmp_path):
+    def test_attack_poisoning_runs(self, tmp_path, capsys):
+        config = poisoning_config(tmp_path)
+        assert main(["attack", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("poisoning attack:")
+
+    @pytest.mark.parametrize("command", ["attack-evasion",
+                                         "attack-poisoning"])
+    def test_mode_is_read_from_the_config(self, tmp_path, command):
         config = write_config(tmp_path)
-        assert main(["attack-poisoning", "--config", str(config)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(config)])
+        assert exc.value.code == 2  # argparse: invalid choice
 
     def test_sweep_success_exit_code(self, tmp_path):
         config = write_config(tmp_path)
@@ -64,7 +82,7 @@ class TestCli:
     def test_report_distribution_pipeline(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["certify", "--config", str(config)]) == 0
-        assert main(["attack-evasion", "--config", str(config)]) == 0
+        assert main(["attack", "--config", str(config)]) == 0
         out = tmp_path / "out"
         code = main(["report-distribution",
                      "--delta", str(out / "delta_edges.tsv"),
@@ -100,3 +118,54 @@ class TestCli:
                      "--certificates", str(certs), "--out", str(tmp_path)])
         assert code == 1
         assert f"config error: {delta}:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, line", [("node,k\n0,1\n", 1),
+                                            ("node,K\n0,1\n1,x\n", 3),
+                                            ("node,K\n0,-1\n", 2)])
+    def test_report_distribution_bad_certificates_is_config_error(
+            self, tmp_path, capsys, text, line):
+        delta = tmp_path / "delta.tsv"
+        delta.write_text("0\t1\tadd\n")
+        certs = tmp_path / "certificates.csv"
+        certs.write_text(text)
+        code = main(["report-distribution", "--delta", str(delta),
+                     "--certificates", str(certs), "--out", str(tmp_path)])
+        assert code == 1
+        assert f"config error: {certs}:{line}:" in capsys.readouterr().err
+
+    def test_short_checkpoint_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        params = tmp_path / "short.bin"
+        params.write_bytes(b"GCNPARAM\x01\x00")
+        assert main(["certify", "--config", str(config),
+                     "--params", str(params)]) == 1
+        assert "truncated checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", [(5, 8, 2), (4, 8, 3)])
+    def test_checkpoint_of_another_graph_is_config_error(self, tmp_path,
+                                                         capsys, dims):
+        # the test config's graph has 4 features and 2 classes
+        config = write_config(tmp_path)
+        params = tmp_path / "params.bin"
+        save_params(init_params(*dims, seed=0), params)
+        assert main(["certify", "--config", str(config),
+                     "--params", str(params)]) == 1
+        err = capsys.readouterr().err
+        assert f"W1 {dims[:2]} and W2 {dims[1:]}" in err
+
+    def test_params_is_config_error_in_poisoning_mode(self, tmp_path,
+                                                      capsys):
+        config = write_config(tmp_path)
+        assert main(["train", "--config", str(config)]) == 0
+        params = tmp_path / "out" / "params.bin"
+        assert main(["certify", "--config", str(config),
+                     "--params", str(params)]) == 0
+        assert main(["certify", "--config", str(poisoning_config(tmp_path)),
+                     "--params", str(params)]) == 1
+        assert "--params is for evasion only" in capsys.readouterr().err
+
+    def test_profile_bad_samples_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["profile", "--config", str(config),
+                     "--samples", "3,x"]) == 1
+        assert "bad value for num_samples: 'x'" in capsys.readouterr().err

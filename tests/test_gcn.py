@@ -4,13 +4,13 @@ import pytest
 from certattack import (GCNParams, LossKind, NoiseSpec, ParameterError,
                         TrainConfig, TrainingError, apply_perturbation,
                         forward, gradients, init_params, load_params,
-                        node_loss, normalize_adjacency, num_pairs,
+                        mix_seed, normalize_adjacency, num_pairs,
                         predict_all, relax_perturbation, sample_noise,
                         save_params, split_nodes, synth_sbm, train,
                         train_arrays, weighted_loss)
 from certattack import gcn
 from certattack.gcn import _loss_rows
-from oracles import central_difference
+from oracles import central_difference, node_loss
 
 
 class TestNormalize:
@@ -240,6 +240,36 @@ class TestTrain:
                                  graph.num_classes)
             assert np.array_equal(params.W1, alone.W1)
             assert np.array_equal(params.W2, alone.W2)
+
+    @pytest.mark.parametrize("epochs, model, epoch",
+                             [(31, None, None), (32, 1, 32), (33, 0, 33),
+                              (200, 0, 33)])
+    def test_stack_names_lowest_failing_model_and_its_epoch(
+            self, epochs, model, epoch):
+        # Alone, model 1 diverges at epoch 32 and model 0 at epoch 33; with
+        # 32 epochs only model 1's final loss check fails.
+        graph = synth_sbm(30, 2, 0.3, 0.05, 4, seed=0)
+        split = split_nodes(graph, (0.3, 0.0, 0.7), seed=0)
+        noisy = np.stack([
+            apply_perturbation(graph.adjacency,
+                               sample_noise(NoiseSpec(0.9), graph.n, 1, j))
+            for j in (0, 3)])
+        seeds = [mix_seed(3, 0), mix_seed(3, 3)]
+        config = TrainConfig(learning_rate=1e6, epochs=epochs)
+        args = (graph.features, graph.labels, split.train)
+        with np.errstate(all="ignore"):
+            if model is None:
+                train_arrays(noisy, *args, config, 2, seeds)
+                return
+            with pytest.raises(TrainingError) as stacked:
+                train_arrays(noisy, *args, config, 2, seeds)
+            with pytest.raises(TrainingError) as alone:
+                train_arrays(noisy[model], *args,
+                             TrainConfig(learning_rate=1e6, epochs=epochs,
+                                         seed=seeds[model]), 2)
+        assert stacked.value.model == model and alone.value.model == 0
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value) == f"loss diverged at epoch {epoch}"
 
     def test_stack_needs_one_seed_per_adjacency(self, tiny_graph):
         stack = np.stack([tiny_graph.adjacency] * 2)

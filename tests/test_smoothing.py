@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 import certattack
 from certattack import (CapacityError, CertificationError, NoiseSpec,
                         ParameterError, SmoothingConfig, TrainConfig,
-                        TrainingError, apply_perturbation, certified_size,
+                        TrainingError, apply_perturbation,
+                        certificates_from_counts, certified_size,
                         certify_nodes, exact_smoothed_probs, init_params,
                         lower_bound_prob, mc_counts_evasion,
                         mc_counts_poisoning, mix_seed, num_pairs,
@@ -19,7 +21,6 @@ from certattack import (CapacityError, CertificationError, NoiseSpec,
                         train, train_arrays, worst_case_retained,
                         write_certificates_csv)
 from certattack import smoothing
-from certattack.smoothing import _certified_size_scan
 from oracles import worst_case_retained_exact
 
 
@@ -246,10 +247,33 @@ class TestCertifiedSize:
         assert certified_size(0.99, NoiseSpec(0.7)) == 7
 
     def test_saturation_flag(self):
-        size, saturated = _certified_size_scan(0.999999, NoiseSpec(0.6), 3)
-        assert size == 3 and saturated
         with pytest.warns(UserWarning, match="saturated"):
-            certified_size(0.999999, NoiseSpec(0.6), r_max=3)
+            assert certified_size(0.999999, NoiseSpec(0.6), r_max=3) == 3
+
+    def test_certificates_flag_saturation_at_the_cap(self, monkeypatch):
+        # N=200, alpha=0.1, beta=0.6: a unanimous row certifies 32 and a
+        # 160/40 row exactly 3, so both reach a cap of 3; 150/50 gives 2
+        monkeypatch.setattr(smoothing, "DEFAULT_RADIUS_CAP", 3)
+        counts = np.array([[200, 0], [0, 200], [150, 50], [140, 60],
+                           [40, 160], [160, 40]])
+        labels = np.array([0, 1, 0, 0, 0, 0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            certs = certificates_from_counts(
+                counts, np.arange(6), labels, NoiseSpec(0.6),
+                SmoothingConfig(200, 0.1))
+        sizes = [cert.certified_size for cert in certs]
+        assert sizes == [3, 3, 2, 0, 0, 3]
+        assert [cert.saturated for cert in certs] == [k == 3 for k in sizes]
+
+    def test_certificates_warn_when_saturated(self, monkeypatch):
+        # attacks certify through certificates_from_counts, so a saturated
+        # scan inside an attack warns as well
+        monkeypatch.setattr(smoothing, "DEFAULT_RADIUS_CAP", 3)
+        with pytest.warns(UserWarning, match="saturated at the scan cap 3"):
+            certificates_from_counts(np.array([[200, 0]]), np.arange(1),
+                                     np.zeros(1, dtype=np.int64),
+                                     NoiseSpec(0.6), SmoothingConfig(200, 0.1))
 
 
 class TestExactSmoothedProb:

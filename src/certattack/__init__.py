@@ -30,7 +30,7 @@ from .smoothing import (Certificate, NoiseSpec, SmoothingConfig,
                         certificates_from_counts, certified_size,
                         certify_nodes, exact_smoothed_probs, lower_bound_prob,
                         mc_counts_evasion, mc_counts_poisoning, mix_seed,
-                        sample_noise, worst_case_retained,
+                        noise_flips, sample_noise, worst_case_retained,
                         write_certificates_csv)
 
 __version__ = "0.1.0"

@@ -6,6 +6,7 @@ edge-flip budget on provably fragile nodes.  With uniform weights both
 attacks reduce exactly to their unweighted base versions.
 """
 import csv
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ from .perturb import (Perturbation, apply_perturbation, num_pairs,
                       relax_perturbation, triu_pairs)
 from .smoothing import (Certificate, NoiseSpec, SmoothingConfig,
                         certificates_from_counts, mc_counts_evasion,
-                        mc_counts_poisoning, mix_seed)
+                        mc_counts_poisoning, mix_seed, noise_flips)
 
 WEIGHT_SCHEMES = ("uniform", "random", "degree", "centrality", "certified")
 CENTRALITY_ITERATIONS = 100
@@ -300,9 +301,13 @@ def pgd_evasion(params: GCNParams, graph: Graph, split: DataSplit,
     if targets.size == 0:
         raise ParameterError("evasion attack needs a non-empty test mask")
 
+    @functools.cache
+    def flips():  # drawn at the first refresh, then kept for this attack
+        return noise_flips(config.noise, graph.n, config.smoothing)
+
     def certify(snapshot):
         return mc_counts_evasion(params, snapshot, graph.features, targets,
-                                 config.noise, config.smoothing)
+                                 config.noise, config.smoothing, flips())
 
     return _attack_loop(graph, split, targets, graph.labels, params, config,
                         certify, lambda _: params,

@@ -76,14 +76,17 @@ def _load_config(args):
     return config
 
 
+def _output(directory, name) -> Path:
+    """directory / name, making the directory if it is missing."""
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    return Path(directory) / name
+
+
 def cmd_train(args) -> int:
     config = _load_config(args)
-    graph, split, train_config, _ = prepare_cell(
-        config, config.seeds[0], config.sweep_values[0])
+    graph, split, train_config, _ = prepare_cell(config, config.seeds[0])
     params = train(graph, split, graph.adjacency, train_config)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "params.bin"
+    path = _output(config.out_dir, "params.bin")
     save_params(params, path)
     preds = predict_all(params, graph.adjacency, graph.features)
     acc_tr = classification_accuracy(preds, graph.labels, split.train)
@@ -95,8 +98,7 @@ def cmd_train(args) -> int:
 
 def cmd_certify(args) -> int:
     config = _load_config(args)
-    graph, split, train_config, attack = prepare_cell(
-        config, config.seeds[0], config.sweep_values[0])
+    graph, split, train_config, attack = prepare_cell(config, config.seeds[0])
     evasion = config.mode == "evasion"
     params = None
     if args.params:
@@ -117,9 +119,7 @@ def cmd_certify(args) -> int:
         adjacency=graph.adjacency, features=graph.features, params=params,
         train_idx=split.train, train_config=train_config,
         num_classes=graph.num_classes)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "certificates.csv"
+    path = _output(config.out_dir, "certificates.csv")
     write_certificates_csv(certs, attack.noise, attack.smoothing, path)
     certified = sum(1 for c in certs if c.certified_size > 0)
     print(f"{len(certs)} nodes certified ({certified} with K > 0) -> {path}")
@@ -128,14 +128,12 @@ def cmd_certify(args) -> int:
 
 def cmd_attack(args) -> int:
     config = _load_config(args)
-    graph, split, train_config, attack = prepare_cell(
-        config, config.seeds[0], config.sweep_values[0])
+    graph, split, train_config, attack = prepare_cell(config, config.seeds[0])
     report = run_attack(config.mode, graph, split, train_config, attack)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_report_csv(report, attack.scheme.tag, out_dir / "attack_report.csv")
+    path = _output(config.out_dir, "attack_report.csv")
+    write_report_csv(report, attack.scheme.tag, path)
     write_delta_edges(report.perturbation.binary, graph.adjacency,
-                      out_dir / "delta_edges.tsv")
+                      path.with_name("delta_edges.tsv"))
     print(f"{config.mode} attack: scheme={attack.scheme.tag} "
           f"budget={attack.budget} flips={report.budget_used}")
     print(f"accuracy {report.pre_attack_accuracy:.4f} -> "
@@ -158,9 +156,7 @@ def cmd_report_distribution(args) -> int:
     if not sizes:
         raise ParameterError(f"{args.certificates}: no certificates found")
     delta = read_delta_edges(args.delta)
-    out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "distribution.csv"
+    path = _output(args.out or ".", "distribution.csv")
     histogram = report_distribution(delta, sizes, path)
     print(f"distribution over {sum(histogram.values())} edge incidences "
           f"-> {path}")
@@ -171,9 +167,7 @@ def cmd_profile(args) -> int:
     config = _load_config(args)
     counts = [parse_key("attack", "num_samples", tok)
               for tok in args.samples.split(",") if tok.strip()]
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "runtime_profile.csv"
+    path = _output(config.out_dir, "runtime_profile.csv")
     results = runtime_profile(config, counts, path)
     for n_samples, total, cert in results:
         print(f"N={n_samples}: attack {total:.2f}s, certification {cert:.2f}s")

@@ -202,12 +202,13 @@ def build_dataset(dataset: DatasetConfig) -> Graph:
                       num_classes=dataset.num_classes)
 
 
-def prepare_cell(config: ExperimentConfig, seed: int, value: str):
-    """(graph, split, train config, attack config) of one sweep cell, with
-    the sweep value and the per-seed streams applied."""
+def prepare_cell(config: ExperimentConfig, seed: int, value=None):
+    """(graph, split, train config, attack config) of one cell: the config
+    with the sweep value, if given, and the per-seed streams applied."""
     graph = build_dataset(config.dataset)
-    config = set_attack_key(config, config.sweep_axis,
-                            parse_key("attack", config.sweep_axis, value))
+    if value is not None:
+        config = set_attack_key(config, config.sweep_axis,
+                                parse_key("attack", config.sweep_axis, value))
     attack = config.attack
     attack = replace(attack, budget=int(config.budget_ratio * graph.num_edges),
                      smoothing=replace(attack.smoothing, seed=mix_seed(seed, 3)),

@@ -81,12 +81,15 @@ class TrainConfig:
 
 def _normalize(adjacency_real):
     """(A + I, its degrees d, d^{-1/2}, Ahat) of a real adjacency A, or of
-    each matrix of a (B, n, n) stack, where Ahat = D^{-1/2} (A + I) D^{-1/2};
-    the only place Ahat is built."""
+    each matrix of a (B, n, n) stack; Ahat = D^{-1/2} (A + I) D^{-1/2}."""
     A = np.asarray(adjacency_real, dtype=np.float64)
     if A.min(initial=0.0) < -1e-12:
         raise DomainError("adjacency entries must be nonnegative")
-    Atil = A + np.eye(A.shape[-1])
+    return _scale(A + np.eye(A.shape[-1]))
+
+
+def _scale(Atil):
+    """_normalize's tuple from Atil = A + I; the only place Ahat is built."""
     deg = Atil.sum(axis=-1)
     s = deg ** -0.5
     return Atil, deg, s, Atil * (s[..., :, None] * s[..., None, :])
@@ -101,21 +104,16 @@ def normalize_adjacency(adjacency_real: np.ndarray) -> np.ndarray:
     return _normalize(adjacency_real)[3]
 
 
-def _propagate(W1, W2, Ahat, X):
-    XW1 = X @ W1
+def _propagate(XW1, W2, Ahat):
     Z1 = Ahat @ XW1
     H1 = np.maximum(Z1, 0.0)
     HW2 = H1 @ W2
     Z2 = Ahat @ HW2
-    return XW1, Z1, H1, HW2, Z2
+    return Z1, H1, HW2, Z2
 
 
-def forward(params: GCNParams, adjacency_real: np.ndarray,
-            features: np.ndarray) -> np.ndarray:
-    """Logits = Ahat relu(Ahat X W1) W2 for all nodes."""
-    Ahat = normalize_adjacency(adjacency_real)
-    _, Z1, _, _, Z2 = _propagate(params.W1, params.W2, Ahat,
-                                 np.asarray(features, dtype=np.float64))
+def _logits(XW1, W2, Ahat):
+    Z1, _, _, Z2 = _propagate(XW1, W2, Ahat)
     if not np.isfinite(Z1).all():
         raise NumericError("non-finite activation in hidden layer")
     if not np.isfinite(Z2).all():
@@ -123,10 +121,38 @@ def forward(params: GCNParams, adjacency_real: np.ndarray,
     return Z2
 
 
+def forward(params: GCNParams, adjacency_real: np.ndarray,
+            features: np.ndarray) -> np.ndarray:
+    """Logits = Ahat relu(Ahat X W1) W2 for all nodes."""
+    Ahat = normalize_adjacency(adjacency_real)
+    return _logits(np.asarray(features, dtype=np.float64) @ params.W1,
+                   params.W2, Ahat)
+
+
 def predict_all(params: GCNParams, adjacency: np.ndarray,
                 features: np.ndarray) -> np.ndarray:
     """Argmax prediction per node; ties break toward the lowest class."""
     return np.argmax(forward(params, adjacency, features), axis=1)
+
+
+def predict_noisy(params: GCNParams, adjacency: np.ndarray,
+                  features: np.ndarray, flips):
+    """Yield predict_all's predictions on A xor f for each f in `flips`,
+    the pair indices that one noise mask flips; A is symmetric and 0/1.
+    One float A + I takes 1 - v at the flipped pairs while Ahat is built,
+    so the float operations are predict_all's, with X W1 computed once."""
+    n = adjacency.shape[0]
+    Atil = np.asarray(adjacency, dtype=np.float64) + np.eye(n)
+    flat = Atil.reshape(-1)
+    XW1 = np.asarray(features, dtype=np.float64) @ params.W1
+    rows, cols = triu_pairs(n)
+    upper, lower = rows * n + cols, cols * n + rows
+    for pairs in flips:
+        i, k = upper[pairs], lower[pairs]
+        flat[i] = flat[k] = 1.0 - flat[i]
+        Ahat = _scale(Atil)[3]
+        flat[i] = flat[k] = 1.0 - flat[i]  # flipping again restores A + I
+        yield np.argmax(_logits(XW1, params.W2, Ahat), axis=1)
 
 
 def _loss_rows(logits, labels, kind):
@@ -168,7 +194,8 @@ def _backward(W1, W2, normalized, X, labels, weights, kind,
     gradient, weights and adjacencies may be (B, ...) stacks of B models
     trained in lockstep; the loss is then one value per model."""
     Atil, deg, s, Ahat = normalized
-    XW1, Z1, H1, HW2, Z2 = _propagate(W1, W2, Ahat, X)
+    XW1 = X @ W1
+    Z1, H1, HW2, Z2 = _propagate(XW1, W2, Ahat)
     loss_rows, grad_rows = _loss_rows(Z2, labels, kind)
     total = loss_rows @ weights
     G2 = grad_rows * weights[:, None]
@@ -311,7 +338,7 @@ def train_arrays(adjacency_real: np.ndarray, features: np.ndarray,
         W1 = W1 - config.learning_rate * (gW1 + wd * W1)
         W2 = W2 - config.learning_rate * (gW2 + wd * W2)
     else:
-        final_rows, _ = _loss_rows(_propagate(W1, W2, normalized[3], X)[4],
+        final_rows, _ = _loss_rows(_propagate(X @ W1, W2, normalized[3])[3],
                                    labels, CROSS_ENTROPY)
         final = final_rows @ weights + 0.5 * wd * (
             np.sum(W1 * W1, axis=(1, 2)) + np.sum(W2 * W2, axis=(1, 2)))

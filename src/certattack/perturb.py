@@ -106,7 +106,7 @@ class Perturbation:
             self.binary = np.asarray(self.binary)
             if self.binary.shape != self.relaxed.shape:
                 raise DimensionError("binary and relaxed vectors differ in length")
-            if not np.isin(self.binary, (0, 1)).all():
+            if not ((self.binary == 0) | (self.binary == 1)).all():
                 raise DomainError("binary entries must be 0/1")
             if int(self.binary.sum()) > self.budget:
                 raise DomainError("binary flip count exceeds budget")

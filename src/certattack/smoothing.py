@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv, gammaln
 
-from .errors import (CapacityError, CertificationError, GraphLoadError,
-                     ParameterError, TrainingError)
-from .gcn import GCNParams, TrainConfig, predict_all, train_arrays
+from .errors import (CapacityError, CertificationError, DomainError,
+                     GraphLoadError, ParameterError, TrainingError)
+from .gcn import (GCNParams, TrainConfig, predict_all, predict_noisy,
+                  train_arrays)
 from .perturb import apply_perturbation, num_pairs
 
 DEFAULT_RADIUS_CAP = 2000
@@ -30,6 +31,10 @@ DEFAULT_RADIUS_CAP = 2000
 # Poisoning replicates train in lockstep blocks of about this many
 # adjacency entries: STACK_ENTRIES // n**2 replicates, 10 at n = 100.
 STACK_ENTRIES = 100_000
+
+# Evasion attacks keep their flip lists, (1 - beta) * m * N int32 entries
+# expected (0.5 MB at n=100, beta=0.95, N=500), up to this many bytes.
+FLIP_BYTES = 16 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -85,23 +90,41 @@ def sample_noise(spec: NoiseSpec, n: int, seed: int, index: int) -> np.ndarray:
     return (rng.random(num_pairs(n)) < 1.0 - spec.beta).astype(np.int8)
 
 
+def noise_flips(spec: NoiseSpec, n: int, config: SmoothingConfig):
+    """For each of config's N noise masks in order, the int32 pair indices
+    it flips; None when they are expected to exceed FLIP_BYTES, and then
+    mc_counts_evasion draws the masks as it classifies."""
+    if (1.0 - spec.beta) * num_pairs(n) * config.num_samples * 4 > FLIP_BYTES:
+        return None
+    return list(_draw_flips(spec, n, config))
+
+
+def _draw_flips(spec, n, config):
+    for j in range(config.num_samples):
+        mask = sample_noise(spec, n, config.seed, j)
+        yield np.flatnonzero(mask).astype(np.int32)
+
+
 def mc_counts_evasion(params: GCNParams, adjacency: np.ndarray,
                       features: np.ndarray, target_nodes: np.ndarray,
-                      spec: NoiseSpec, config: SmoothingConfig) -> np.ndarray:
+                      spec: NoiseSpec, config: SmoothingConfig,
+                      flips: list | None = None) -> np.ndarray:
     """Monte Carlo label counts under noise for a fixed trained model.
 
     Each of the N noisy graphs is classified once and serves every
-    target node.
+    target node.  A caller may keep flips = noise_flips(spec, n, config)
+    across adjacencies, else they are drawn here; A is symmetric and 0/1.
     """
+    A = np.asarray(adjacency)
+    if (A.ndim != 2 or A.shape != A.T.shape or (A != A.T).any()
+            or not ((A == 0) | (A == 1)).all()):
+        raise DomainError("adjacency must be a symmetric 0/1 matrix")
     targets = np.asarray(target_nodes, dtype=np.int64)
     counts = np.zeros((targets.size, params.num_classes), dtype=np.int64)
-    n = adjacency.shape[0]
-    rows = np.arange(targets.size)
-    for j in range(config.num_samples):
-        mask = sample_noise(spec, n, config.seed, j)
-        noisy = apply_perturbation(adjacency, mask)
-        preds = predict_all(params, noisy, features)
-        counts[rows, preds[targets]] += 1
+    first = np.arange(targets.size) * params.num_classes  # row starts
+    for preds in predict_noisy(params, A, features,
+                               flips or _draw_flips(spec, len(A), config)):
+        counts.reshape(-1)[first + preds[targets]] += 1
     return counts
 
 

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the production code paths it checks:
 exact rational arithmetic for the Neyman-Pearson worst case, breakpoint
 scanning for the capped-box projection, brute-force enumeration for
-certified sizes, a dense XOR for edge flips, and a one-node loss.
+certified sizes, a dense XOR for edge flips, a one-node loss, and the
+one-graph-at-a-time Monte Carlo loop of evasion certification.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -11,7 +12,8 @@ from math import comb
 
 import numpy as np
 
-from certattack import apply_perturbation, exact_smoothed_probs, num_pairs
+from certattack import (apply_perturbation, exact_smoothed_probs, num_pairs,
+                        predict_all, sample_noise)
 
 
 def np_regions(beta: Fraction, radius: int):
@@ -147,3 +149,18 @@ def node_loss(logits_row: np.ndarray, label: int, kind) -> float:
         return float(np.log(np.exp(shifted).sum()) - shifted[label])
     others = np.delete(z, label)
     return float(max(others.max() - z[label], -kind.kappa))
+
+
+def mc_counts_evasion_loop(params, adjacency, features, target_nodes, spec,
+                           config) -> np.ndarray:
+    """Evasion label counts one noisy graph at a time: draw mask j, XOR it
+    into the adjacency and classify the copy with predict_all."""
+    targets = np.asarray(target_nodes, dtype=np.int64)
+    counts = np.zeros((targets.size, params.num_classes), dtype=np.int64)
+    n = adjacency.shape[0]
+    for j in range(config.num_samples):
+        noisy = apply_perturbation(adjacency,
+                                   sample_noise(spec, n, config.seed, j))
+        preds = predict_all(params, noisy, features)
+        counts[np.arange(targets.size), preds[targets]] += 1
+    return counts

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,10 @@ from certattack import (AttackConfig, Certificate, LossKind, NoiseSpec,
                         minmax_poisoning, node_weights,
                         pgd_evasion, project_budget, split_nodes,
                         synth_sbm, top_delta_binary, train)
+from certattack import attacks, smoothing
 from certattack.graph import DataSplit, Graph
-from oracles import node_loss, project_capped_box_exact
+from oracles import (mc_counts_evasion_loop, node_loss,
+                     project_capped_box_exact)
 
 
 def make_certs(nodes, sizes):
@@ -288,6 +292,73 @@ class TestPgdEvasion:
         assert [t for t, _ in report.weights_history] == [0, 4, 8]
         for _, w in report.weights_history:
             assert np.all(w > 0.0) and np.all(w <= 0.5)
+
+
+def count_noise_draws(monkeypatch):
+    """The mask indices of every sample_noise call from now on."""
+    draws, draw = [], smoothing.sample_noise
+
+    def counting(spec, n, seed, index):
+        draws.append(index)
+        return draw(spec, n, seed, index)
+
+    monkeypatch.setattr(smoothing, "sample_noise", counting)
+    return draws
+
+
+class TestEvasionNoise:
+    """An evasion attack draws its N noise masks once, at its first
+    certificate refresh, and counts exactly what drawing them at every
+    refresh and classifying each XOR-ed copy counts."""
+
+    def config(self, scheme):
+        # N = 20 samples, 10 refreshes (every 4 of 40 iterations)
+        return small_attack_config(budget=5, scheme=scheme, iterations=40)
+
+    def test_certified_draws_each_mask_once(self, small_setup, monkeypatch):
+        graph, split, _, params = small_setup
+        draws = count_noise_draws(monkeypatch)
+        report = pgd_evasion(params, graph, split, self.config("certified"))
+        assert len(report.weights_history) == 10
+        assert draws == list(range(20))
+
+    def test_uniform_draws_nothing(self, small_setup, monkeypatch):
+        graph, split, _, params = small_setup
+        draws = count_noise_draws(monkeypatch)
+        pgd_evasion(params, graph, split, self.config("uniform"))
+        assert draws == []
+
+    def test_over_cap_draws_at_every_refresh(self, small_setup,
+                                             monkeypatch):
+        graph, split, _, params = small_setup
+        config = self.config("certified")
+        kept = pgd_evasion(params, graph, split, config)
+        monkeypatch.setattr(smoothing, "FLIP_BYTES", 0)
+        draws = count_noise_draws(monkeypatch)
+        redrawn = pgd_evasion(params, graph, split, config)
+        assert draws == list(range(20)) * 10
+        assert_same_report(redrawn, kept)
+
+    def test_matches_reference_loop(self, small_setup, monkeypatch):
+        graph, split, _, params = small_setup
+        # N = 100 at beta = 0.95: the weights change between refreshes
+        config = replace(self.config("certified"), noise=NoiseSpec(0.95),
+                         smoothing=SmoothingConfig(100, 0.1, seed=0))
+        fused = pgd_evasion(params, graph, split, config)
+        monkeypatch.setattr(attacks, "mc_counts_evasion",
+                            lambda *args: mc_counts_evasion_loop(*args[:6]))
+        reference = pgd_evasion(params, graph, split, config)
+        assert_same_report(fused, reference)
+        assert len({w.tobytes() for _, w in fused.weights_history}) > 1
+
+
+def assert_same_report(got, want):
+    assert np.array_equal(got.perturbation.binary, want.perturbation.binary)
+    assert np.array_equal(got.per_iteration_loss, want.per_iteration_loss)
+    assert got.post_attack_accuracy == want.post_attack_accuracy
+    for (t, w), (t_want, w_want) in zip(got.weights_history,
+                                        want.weights_history, strict=True):
+        assert t == t_want and np.array_equal(w, w_want)
 
 
 class TestMinmaxPoisoning:

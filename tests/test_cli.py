@@ -1,6 +1,6 @@
 import pytest
 
-from certattack import init_params, save_params
+from certattack import cli, init_params, save_params
 from certattack.cli import main
 from test_experiment import write_config
 
@@ -32,6 +32,36 @@ class TestCli:
         assert (tmp_path / "out" / "delta_edges.tsv").exists()
         out = capsys.readouterr().out
         assert out.startswith("evasion attack:") and "accuracy" in out
+
+    def test_attack_runs_the_config_scheme(self, tmp_path, capsys,
+                                           monkeypatch):
+        # [attack] scheme = certified, and the sweep lists uniform first:
+        # attack runs the [attack] keys, not the first sweep cell.
+        config = write_config(tmp_path)
+        reports = []
+        run_attack = cli.run_attack
+
+        def recording(*args):
+            reports.append(run_attack(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_attack", recording)
+        assert main(["attack", "--config", str(config)]) == 0
+        assert "scheme=certified" in capsys.readouterr().out
+        [report] = reports
+        assert len(report.weights_history) == 2  # refreshes at t = 0, 3
+        assert report.cert_seconds > 0.0
+
+    def test_train_and_certify_ignore_the_sweep_values(self, tmp_path):
+        # an out-of-range sweep value fails its sweep cell, not train or
+        # certify, which run the config's own beta
+        config = write_config(tmp_path, axis="beta", values="1.5",
+                              seeds="0")
+        assert main(["train", "--config", str(config)]) == 0
+        assert main(["certify", "--config", str(config)]) == 0
+        text = (tmp_path / "out" / "certificates.csv").read_text()
+        assert text.splitlines()[1].split(",")[6] == "0.9"
+        assert main(["sweep", "--config", str(config)]) == 3
 
     def test_attack_poisoning_runs(self, tmp_path, capsys):
         config = poisoning_config(tmp_path)

@@ -136,3 +136,16 @@ class TestPerturbation:
         p = Perturbation(np.array([0.5, 0.5]), budget=1,
                          binary=np.array([1, 0]))
         assert p.num_flips == 1
+
+    @pytest.mark.parametrize("binary", [[-1, 1], [0.5, 0.0], [2, -2]])
+    def test_binary_entries_must_be_0_or_1(self, binary):
+        # each sums to at most the budget, so only the 0/1 check rejects it
+        with pytest.raises(DomainError):
+            Perturbation(np.array([0.5, 0.5]), budget=1,
+                         binary=np.array(binary))
+
+    @pytest.mark.parametrize("binary", [[True, False], [1.0, 0.0]])
+    def test_binary_accepts_any_0_1_dtype(self, binary):
+        p = Perturbation(np.array([0.5, 0.5]), budget=1,
+                         binary=np.array(binary))
+        assert p.num_flips == 1

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -10,18 +11,19 @@ import numpy as np
 import pytest
 
 import certattack
-from certattack import (CapacityError, CertificationError, NoiseSpec,
-                        ParameterError, SmoothingConfig, TrainConfig,
-                        TrainingError, apply_perturbation,
+from certattack import (CapacityError, CertificationError, DomainError,
+                        NoiseSpec, ParameterError, SmoothingConfig,
+                        TrainConfig, TrainingError, apply_perturbation,
                         certificates_from_counts, certified_size,
                         certify_nodes, exact_smoothed_probs, init_params,
                         lower_bound_prob, mc_counts_evasion,
-                        mc_counts_poisoning, mix_seed, num_pairs,
-                        predict_all, sample_noise, split_nodes, synth_sbm,
-                        train, train_arrays, worst_case_retained,
+                        mc_counts_poisoning, mix_seed, noise_flips,
+                        normalize_adjacency, num_pairs, predict_all,
+                        sample_noise, split_nodes, synth_sbm, train,
+                        train_arrays, worst_case_retained,
                         write_certificates_csv)
-from certattack import smoothing
-from oracles import worst_case_retained_exact
+from certattack import gcn, smoothing
+from oracles import mc_counts_evasion_loop, worst_case_retained_exact
 
 
 class TestSampleNoise:
@@ -77,6 +79,109 @@ class TestMcCountsEvasion:
                 p = probs[i, c]
                 tolerance = 5.0 * np.sqrt(max(p * (1 - p), 1e-4) / N)
                 assert abs(counts[i, c] / N - p) <= tolerance
+
+
+@functools.lru_cache(maxsize=None)
+def exactness_case(n):
+    """(graph, model) on an n-node two-block SBM; the 4-node model is
+    untrained, so its predictions depend on the noise too."""
+    if n == 4:
+        return synth_sbm(4, 2, 1.0, 0.0, 4, seed=0), init_params(4, 3, 2, 2)
+    graph = synth_sbm(n, 2, 3.0 / n + 0.07, 0.01, 8, seed=n)
+    split = split_nodes(graph, (0.3, 0.0, 0.7), seed=0)
+    return graph, train(graph, split, graph.adjacency,
+                        TrainConfig(epochs=60, seed=1))
+
+
+class TestEvasionFlipLists:
+    """The fused loop over flip lists counts exactly what the loop of
+    apply_perturbation and predict_all over sampled masks counts."""
+
+    @pytest.mark.parametrize("beta", [0.6, 0.95, 1.0])
+    @pytest.mark.parametrize("n", [4, 30, 100])
+    def test_counts_match_reference_loop(self, n, beta):
+        graph, params = exactness_case(n)
+        spec, config = NoiseSpec(beta), SmoothingConfig(60, 0.1, seed=n)
+        flips = noise_flips(spec, n, config)
+        for j, pairs in enumerate(flips):
+            assert pairs.dtype == np.int32
+            assert np.array_equal(
+                pairs, np.flatnonzero(sample_noise(spec, n, n, j)))
+        if beta == 1.0:
+            assert all(pairs.size == 0 for pairs in flips)
+        args = (params, graph.adjacency, graph.features, np.arange(n), spec,
+                config)
+        want = mc_counts_evasion_loop(*args)
+        assert np.array_equal(mc_counts_evasion(*args), want)
+        assert np.array_equal(mc_counts_evasion(*args, flips), want)
+
+    def test_perturbed_snapshot(self):
+        graph, params = exactness_case(100)
+        rng = np.random.default_rng(4)
+        snapshot = apply_perturbation(
+            graph.adjacency,
+            (rng.random(num_pairs(100)) < 0.02).astype(np.int8))
+        spec, config = NoiseSpec(0.9), SmoothingConfig(200, 0.1, seed=8)
+        args = (params, snapshot, graph.features, np.arange(100), spec,
+                config)
+        want = mc_counts_evasion_loop(*args)
+        assert not np.array_equal(
+            want, mc_counts_evasion_loop(params, graph.adjacency,
+                                         *args[2:]))
+        flips = noise_flips(spec, 100, config)
+        assert np.array_equal(mc_counts_evasion(*args, flips), want)
+
+    def test_each_noisy_graph_is_normalized_bit_for_bit(self, monkeypatch):
+        # counts hide most float differences, so compare what the fused
+        # loop feeds its layers with normalize_adjacency of the XOR-ed copy
+        graph, params = exactness_case(30)
+        spec, config = NoiseSpec(0.8), SmoothingConfig(20, 0.1, seed=3)
+        seen, logits = [], gcn._logits
+
+        def recording(XW1, W2, Ahat):
+            seen.append((XW1, Ahat))
+            return logits(XW1, W2, Ahat)
+
+        monkeypatch.setattr(gcn, "_logits", recording)
+        mc_counts_evasion(params, graph.adjacency, graph.features,
+                          np.arange(30), spec, config,
+                          noise_flips(spec, 30, config))
+        assert len(seen) == 20
+        for j, (XW1, Ahat) in enumerate(seen):
+            noisy = apply_perturbation(graph.adjacency,
+                                       sample_noise(spec, 30, 3, j))
+            assert np.array_equal(Ahat, normalize_adjacency(noisy))
+            assert np.array_equal(XW1, graph.features @ params.W1)
+
+    def test_over_cap_draws_in_the_same_loop(self, monkeypatch):
+        graph, params = exactness_case(30)
+        spec, config = NoiseSpec(0.95), SmoothingConfig(80, 0.1, seed=2)
+        monkeypatch.setattr(smoothing, "FLIP_BYTES", 0)
+        assert noise_flips(spec, 30, config) is None
+        args = (params, graph.adjacency, graph.features, np.arange(30), spec,
+                config)
+        assert np.array_equal(mc_counts_evasion(*args, None),
+                              mc_counts_evasion_loop(*args))
+
+    @pytest.mark.parametrize("bad", ["two", "negative", "non-square",
+                                     "asymmetric", "vector"])
+    def test_adjacency_must_be_symmetric_and_binary(self, bad):
+        # predict_noisy flips each pair back from its upper entry, so an
+        # asymmetric A would come back changed after the first graph
+        graph, params = exactness_case(30)
+        adjacency = graph.adjacency.astype(np.int64)
+        if bad == "non-square":
+            adjacency = adjacency[:, :-1]
+        elif bad == "asymmetric":
+            adjacency[0, 1] = 1 - adjacency[1, 0]
+        elif bad == "vector":
+            adjacency = adjacency[0]
+        else:
+            adjacency[0, 1] = adjacency[1, 0] = 2 if bad == "two" else -1
+        with pytest.raises(DomainError):
+            mc_counts_evasion(params, adjacency, graph.features,
+                              np.arange(30), NoiseSpec(0.9),
+                              SmoothingConfig(5, 0.1))
 
 
 class TestMcCountsPoisoning:

@@ -165,16 +165,34 @@ def project_budget(relaxed: np.ndarray, budget: int) -> np.ndarray:
     If the box-clipped point already fits the budget it is returned as is;
     otherwise the shift mu with sum(clip(x - mu)) = budget is found by
     bisection on [0, max(x)].
+
+    Each bisection step sums clip(live - mu, 0, 1) over `live`, the
+    entries above `lo` only: an entry at or below lo clips to exactly 0
+    for every later mu >= lo, so the set shrinks each time lo moves.  The
+    live sum is a different rounding of the same real sum T as the
+    full-array sum.  numpy's pairwise summation passes each term through
+    at most 45 additions for m <= 1e8, which puts each sum within about
+    45 u T of T (u = 2**-53), so the two lie within 1e-14 T of each
+    other.  Where the live sum is within 1e-12 (mass + budget) of the
+    budget, the full-array sum decides instead; elsewhere both fall on
+    the same side of the budget.  Every bisection decision, the final mu
+    and the returned array are therefore those of the full-array
+    bisection.  The 1e-12 follows from this bound; it is not a setting.
     """
     x = np.asarray(relaxed, dtype=np.float64)
     clipped = np.clip(x, 0.0, 1.0)
     if clipped.sum() <= budget:
         return clipped
     lo, hi = 0.0, float(x.max())
+    live = x[x > lo]
     for _ in range(100):
         mu = 0.5 * (lo + hi)
-        if np.clip(x - mu, 0.0, 1.0).sum() > budget:
+        mass = np.clip(live - mu, 0.0, 1.0).sum()
+        if abs(mass - budget) <= 1e-12 * (mass + budget):
+            mass = np.clip(x - mu, 0.0, 1.0).sum()
+        if mass > budget:
             lo = mu
+            live = live[live > lo]
         else:
             hi = mu
         if hi - lo < 1e-10:
@@ -183,14 +201,18 @@ def project_budget(relaxed: np.ndarray, budget: int) -> np.ndarray:
 
 
 def top_delta_binary(relaxed: np.ndarray, budget: int) -> np.ndarray:
-    """Deterministic rounding: the (up to) budget largest positive entries."""
+    """Deterministic rounding: the (up to) budget largest positive entries,
+    ties toward the lower index."""
     relaxed = np.asarray(relaxed, dtype=np.float64)
     out = np.zeros(relaxed.size, dtype=np.int8)
     if budget <= 0:
         return out
-    order = np.argsort(-relaxed, kind="stable")
-    take = order[:budget]
-    take = take[relaxed[take] > 0.0]
+    take = np.flatnonzero(relaxed > 0.0)
+    if take.size > budget:
+        values = relaxed[take]
+        kth = np.partition(values, take.size - budget)[take.size - budget]
+        take = take[values >= kth]  # every tie at the k-th value
+        take = take[np.argsort(-relaxed[take], kind="stable")[:budget]]
     out[take] = 1
     return out
 
@@ -209,9 +231,9 @@ def discretize(relaxed: np.ndarray, budget: int, trials: int,
     best_value = objective(best)
     for _ in range(trials):
         draw = (rng.random(relaxed.size) < relaxed).astype(np.int8)
-        if int(draw.sum()) > budget:
-            masked = np.where(draw > 0, relaxed, -np.inf)
-            draw = top_delta_binary(masked, budget)
+        on = np.flatnonzero(draw)
+        if on.size > budget:
+            draw[on[top_delta_binary(relaxed[on], budget) == 0]] = 0
         value = objective(draw)
         if value > best_value:
             best, best_value = draw, value

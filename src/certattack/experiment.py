@@ -400,9 +400,10 @@ def low_size_fraction(histogram: dict, threshold: int = 1) -> float:
 
 def runtime_profile(config: ExperimentConfig, sample_counts: list[int],
                     path=None) -> list[tuple]:
-    """Attack and certification wall time per Monte Carlo sample count."""
-    graph, split, train_config, attack = prepare_cell(
-        config, config.seeds[0], config.sweep_values[0])
+    """Attack and certification wall time per Monte Carlo sample count,
+    on the first seed with the config's own [attack] keys."""
+    graph, split, train_config, attack = prepare_cell(config,
+                                                      config.seeds[0])
     results = []
     for n_samples in sample_counts:
         cell_attack = _replace_at(attack, "smoothing.num_samples", n_samples)

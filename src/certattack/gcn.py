@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import (DomainError, NumericError, ParameterError, TrainingError)
 from .graph import DataSplit, Graph
-from .perturb import relax_perturbation, triu_pairs
+from .perturb import relax_perturbation, triu_mask, triu_pairs
 
 
 @dataclass(frozen=True)
@@ -205,15 +205,14 @@ def _backward(W1, W2, normalized, X, labels, weights, kind,
     gW1 = X.T @ (Ahat @ GZ1)
     if not want_adjacency_grad:
         return total, gW1, gW2, None
-    n = Atil.shape[0]
     GA = G2 @ HW2.T + GZ1 @ XW1.T
     GAt = GA * Atil
     row_dot = GAt @ s
     col_dot = GAt.T @ s
     d32 = deg ** -1.5
-    Gtil = (GA * np.outer(s, s)
-            - 0.5 * np.outer(d32 * row_dot, np.ones(n))
-            - 0.5 * np.outer(np.ones(n), d32 * col_dot))
+    Gtil = (GA * (s[:, None] * s[None, :])
+            - (0.5 * (d32 * row_dot))[:, None]
+            - (0.5 * (d32 * col_dot))[None, :])
     return total, gW1, gW2, Gtil
 
 
@@ -270,9 +269,8 @@ def gradients(params: GCNParams, adjacency: np.ndarray,
     total, gW1, gW2, Gtil = _backward(params.W1, params.W2,
                                       _normalize(A_prime), X,
                                       np.asarray(labels), w, kind, True)
-    rows, cols = triu_pairs(n)
-    sign = 1.0 - 2.0 * A[rows, cols]
-    g_delta = sign * (Gtil[rows, cols] + Gtil[cols, rows])
+    upper = triu_mask(n)
+    g_delta = (1.0 - 2.0 * A[upper]) * (Gtil + Gtil.T)[upper]
     if not (np.isfinite(gW1).all() and np.isfinite(gW2).all()
             and np.isfinite(g_delta).all()):
         raise NumericError("non-finite gradient")

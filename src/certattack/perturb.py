@@ -28,6 +28,15 @@ def triu_pairs(n: int):
     return rows, cols
 
 
+@lru_cache(maxsize=64)
+def triu_mask(n: int) -> np.ndarray:
+    """Boolean (n, n) mask of the strict upper triangle; indexing with it
+    walks the pairs in triu_pairs order."""
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask.setflags(write=False)
+    return mask
+
+
 def infer_n(m: int) -> int:
     """Node count whose strict upper triangle has m entries."""
     n = int(round((1 + np.sqrt(1 + 8 * m)) / 2))
@@ -75,11 +84,9 @@ def relax_perturbation(adjacency: np.ndarray, delta_relaxed: np.ndarray) -> np.n
             f"relaxed vector length {delta_relaxed.shape} does not match n={n}")
     if delta_relaxed.min(initial=0.0) < 0.0 or delta_relaxed.max(initial=0.0) > 1.0:
         raise DomainError("relaxed perturbation entries must lie in [0, 1]")
-    rows, cols = triu_pairs(n)
-    mirrored = np.zeros((n, n))
-    mirrored[rows, cols] = delta_relaxed
-    mirrored[cols, rows] = delta_relaxed
-    return adjacency + (1.0 - 2.0 * adjacency) * mirrored
+    upper = np.zeros((n, n))
+    upper[triu_mask(n)] = delta_relaxed
+    return adjacency + (1.0 - 2.0 * adjacency) * (upper + upper.T)
 
 
 @dataclass

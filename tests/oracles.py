@@ -5,6 +5,11 @@ exact rational arithmetic for the Neyman-Pearson worst case, breakpoint
 scanning for the capped-box projection, brute-force enumeration for
 certified sizes, a dense XOR for edge flips, a one-node loss, and the
 one-graph-at-a-time Monte Carlo loop of evasion certification.
+
+The attack-step oracles at the end are the straightforward forms of the
+attack kernels (fancy-index scatters and gathers, np.outer terms, a
+full-array bisection, a full argsort); the kernels must match them bit
+for bit.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -12,8 +17,9 @@ from math import comb
 
 import numpy as np
 
-from certattack import (apply_perturbation, exact_smoothed_probs, num_pairs,
-                        predict_all, sample_noise)
+from certattack import (NumericError, apply_perturbation,
+                        exact_smoothed_probs, gcn, num_pairs, predict_all,
+                        sample_noise)
 
 
 def np_regions(beta: Fraction, radius: int):
@@ -164,3 +170,101 @@ def mc_counts_evasion_loop(params, adjacency, features, target_nodes, spec,
         preds = predict_all(params, noisy, features)
         counts[np.arange(targets.size), preds[targets]] += 1
     return counts
+
+
+def relax_scatter(adjacency, delta_relaxed):
+    """A + (1 - 2A) * delta with delta mirrored by two fancy-index
+    scatters over the upper-triangle pairs."""
+    A = np.asarray(adjacency, dtype=float)
+    n = A.shape[0]
+    rows, cols = np.triu_indices(n, k=1)
+    mirrored = np.zeros((n, n))
+    mirrored[rows, cols] = delta_relaxed
+    mirrored[cols, rows] = delta_relaxed
+    return A + (1.0 - 2.0 * A) * mirrored
+
+
+def gradients_outer(params, adjacency, delta_relaxed, features, labels,
+                    node_weights, mask, kind):
+    """gradients() with the edge gradient built from np.outer terms and
+    gathered at [rows, cols] and [cols, rows]; the forward pass and the
+    weight gradients are gcn's own building blocks."""
+    A = np.asarray(adjacency, dtype=np.float64)
+    n = A.shape[0]
+    X = np.asarray(features, dtype=np.float64)
+    w = np.zeros(n)
+    mask = np.asarray(mask, dtype=np.int64)
+    w[mask] = np.asarray(node_weights, dtype=np.float64)[mask]
+    Atil, deg, s, Ahat = gcn._normalize(relax_scatter(A, delta_relaxed))
+    XW1 = X @ params.W1
+    Z1, H1, HW2, Z2 = gcn._propagate(XW1, params.W2, Ahat)
+    loss_rows, grad_rows = gcn._loss_rows(Z2, np.asarray(labels), kind)
+    total = loss_rows @ w
+    G2 = grad_rows * w[:, None]
+    AG2 = Ahat @ G2
+    gW2 = H1.T @ AG2
+    GZ1 = np.where(Z1 > 0.0, AG2 @ params.W2.T, 0.0)
+    gW1 = X.T @ (Ahat @ GZ1)
+    GA = G2 @ HW2.T + GZ1 @ XW1.T
+    GAt = GA * Atil
+    row_dot = GAt @ s
+    col_dot = GAt.T @ s
+    d32 = deg ** -1.5
+    Gtil = (GA * np.outer(s, s)
+            - 0.5 * np.outer(d32 * row_dot, np.ones(n))
+            - 0.5 * np.outer(np.ones(n), d32 * col_dot))
+    rows, cols = np.triu_indices(n, k=1)
+    sign = 1.0 - 2.0 * A[rows, cols]
+    g_delta = sign * (Gtil[rows, cols] + Gtil[cols, rows])
+    if not (np.isfinite(gW1).all() and np.isfinite(gW2).all()
+            and np.isfinite(g_delta).all()):
+        raise NumericError("non-finite gradient")
+    return float(total), gW1, gW2, g_delta
+
+
+def project_bisect_full(relaxed, budget):
+    """Capped-box projection by bisection on mu, summing clip(x - mu)
+    over the whole array at every step."""
+    x = np.asarray(relaxed, dtype=np.float64)
+    clipped = np.clip(x, 0.0, 1.0)
+    if clipped.sum() <= budget:
+        return clipped
+    lo, hi = 0.0, float(x.max())
+    for _ in range(100):
+        mu = 0.5 * (lo + hi)
+        if np.clip(x - mu, 0.0, 1.0).sum() > budget:
+            lo = mu
+        else:
+            hi = mu
+        if hi - lo < 1e-10:
+            break
+    return np.clip(x - 0.5 * (lo + hi), 0.0, 1.0)
+
+
+def top_budget_argsort(relaxed, budget):
+    """The (up to) budget largest positive entries from a full stable
+    argsort, ties toward the lower index."""
+    relaxed = np.asarray(relaxed, dtype=np.float64)
+    out = np.zeros(relaxed.size, dtype=np.int8)
+    if budget <= 0:
+        return out
+    take = np.argsort(-relaxed, kind="stable")[:budget]
+    out[take[relaxed[take] > 0.0]] = 1
+    return out
+
+
+def discretize_masked(relaxed, budget, trials, rng, objective):
+    """discretize() ranking an over-budget draw over all m entries, with
+    the undrawn ones masked to -inf."""
+    relaxed = np.asarray(relaxed, dtype=np.float64)
+    best = top_budget_argsort(relaxed, budget)
+    best_value = objective(best)
+    for _ in range(trials):
+        draw = (rng.random(relaxed.size) < relaxed).astype(np.int8)
+        if int(draw.sum()) > budget:
+            masked = np.where(draw > 0, relaxed, -np.inf)
+            draw = top_budget_argsort(masked, budget)
+        value = objective(draw)
+        if value > best_value:
+            best, best_value = draw, value
+    return best

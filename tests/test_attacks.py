@@ -14,8 +14,10 @@ from certattack import (AttackConfig, Certificate, LossKind, NoiseSpec,
                         synth_sbm, top_delta_binary, train)
 from certattack import attacks, smoothing
 from certattack.graph import DataSplit, Graph
-from oracles import (mc_counts_evasion_loop, node_loss,
-                     project_capped_box_exact)
+from oracles import (discretize_masked, gradients_outer,
+                     mc_counts_evasion_loop, node_loss, project_bisect_full,
+                     project_capped_box_exact, relax_scatter,
+                     top_budget_argsort)
 
 
 def make_certs(nodes, sizes):
@@ -129,6 +131,44 @@ class TestProjection:
         assert out.min() >= 0.0 and out.max() <= 1.0
         assert out.sum() <= budget + 1e-6
 
+    @given(st.integers(min_value=0, max_value=2 ** 31),
+           st.integers(min_value=1, max_value=3000), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_full_bisection(self, seed, m, ties):
+        rng = np.random.default_rng(seed)
+        if ties:  # few distinct values, so the clipped terms tie often
+            x = rng.choice([-0.5, 0.0, 0.25, 0.5, 1.0, 1.5], m)
+        else:  # a PGD iterate: mostly near zero, a few large entries
+            x = rng.normal(0.0, 0.05, m) + (rng.random(m) < 0.05) * 2.0
+        budget = int(rng.integers(0, max(2, m // 20)))
+        assert np.array_equal(project_budget(x, budget),
+                              project_bisect_full(x, budget))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_budget_between_the_two_roundings(self, seed):
+        # the live-set and full-array sums at the first midpoint differ in
+        # the last bit; a budget equal to the full sum puts them on
+        # opposite sides, so only the full-sum fallback decides right
+        rng = np.random.default_rng(seed)
+        for _ in range(100):  # about a third of the draws qualify
+            x = rng.normal(0.0, 0.05, 1000) + (rng.random(1000) < 0.2) * 2.0
+            mu = 0.5 * float(x.max())
+            full = np.clip(x - mu, 0.0, 1.0).sum()
+            if np.clip(x[x > 0.0] - mu, 0.0, 1.0).sum() > full:
+                break
+        else:
+            pytest.fail("no draw rounds the two sums apart")
+        assert np.array_equal(project_budget(x, full),
+                              project_bisect_full(x, full))
+
+    @pytest.mark.parametrize("m", [2, 64, 1000, 79800])
+    def test_exact_tie_at_first_midpoint(self, m):
+        # the first midpoint is 0.5, where the clipped sum is m/2 = budget
+        # exactly, so the live-set sum defers to the full-array sum
+        x = np.ones(m)
+        assert np.array_equal(project_budget(x, m // 2),
+                              project_bisect_full(x, m // 2))
+
 
 class TestDiscretize:
     def test_binary_input_fixed_point(self):
@@ -159,6 +199,36 @@ class TestDiscretize:
         relaxed = np.clip(rng.random(50), 0, 1)
         out = discretize(relaxed, 4, 30, rng, lambda b: float(b.sum()))
         assert out.sum() <= 4
+
+    @given(st.integers(min_value=0, max_value=2 ** 31),
+           st.integers(min_value=1, max_value=400),
+           st.integers(min_value=0, max_value=30))
+    @settings(max_examples=80, deadline=None)
+    def test_top_budget_matches_full_argsort(self, seed, m, budget):
+        # few distinct values: ties at the k-th value, zeros, -0.0, -inf
+        rng = np.random.default_rng(seed)
+        values = [-np.inf, -1.0, -0.0, 0.0, 0.25, 0.5, 1.0, np.inf]
+        relaxed = rng.choice(values, m, p=rng.dirichlet(np.ones(8)))
+        assert np.array_equal(top_delta_binary(relaxed, budget),
+                              top_budget_argsort(relaxed, budget))
+
+    @given(st.integers(min_value=0, max_value=2 ** 31),
+           st.integers(min_value=1, max_value=400),
+           st.integers(min_value=0, max_value=12))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_masked_ranking(self, seed, m, budget):
+        rng = np.random.default_rng(seed)
+        relaxed = rng.choice([0.0, 0.2, 0.5, 0.9, 1.0], m)
+        scores = rng.normal(size=m)
+
+        def objective(binary):
+            return float(scores @ binary)
+
+        ours = discretize(relaxed, budget, 10, np.random.default_rng(seed),
+                          objective)
+        oracle = discretize_masked(relaxed, budget, 10,
+                                   np.random.default_rng(seed), objective)
+        assert np.array_equal(ours, oracle)
 
 
 def line_graph(n, feature_dim=3, seed=0):
@@ -401,6 +471,42 @@ class TestMinmaxPoisoning:
         report = minmax_poisoning(graph, split, tc, config)
         assert len(report.weights_history) == 1
         assert report.cert_seconds == 0.0
+
+
+class TestKernelIdentity:
+    """Whole attacks run bit for bit as they do with the straightforward
+    kernels of tests/oracles.py patched in where the attack loop calls
+    its kernels."""
+
+    @pytest.mark.parametrize("mode, scheme", [("evasion", "uniform"),
+                                              ("evasion", "certified"),
+                                              ("poisoning", "certified")])
+    def test_attack_matches_oracle_kernels(self, small_setup, monkeypatch,
+                                           mode, scheme):
+        graph, split, tc, params = small_setup
+        config = small_attack_config(budget=6, scheme=scheme, iterations=16)
+
+        def run():
+            if mode == "evasion":
+                return pgd_evasion(params, graph, split, config,
+                                   record_trajectory=True)
+            return minmax_poisoning(graph, split, tc, config,
+                                    record_trajectory=True)
+
+        fast = run()
+        for name, oracle in (("gradients", gradients_outer),
+                             ("project_budget", project_bisect_full),
+                             ("top_delta_binary", top_budget_argsort),
+                             ("discretize", discretize_masked),
+                             ("relax_perturbation", relax_scatter)):
+            monkeypatch.setattr(attacks, name, oracle)
+        slow = run()
+        # the budget binds, so every projection after the first bisects
+        assert np.allclose(fast.per_iteration_mass[1:], 6.0)
+        assert np.array_equal(fast.delta_trajectory, slow.delta_trajectory)
+        assert_same_report(fast, slow)
+        assert (fast.pre_attack_accuracy, fast.budget_used) == (
+            slow.pre_attack_accuracy, slow.budget_used)
 
 
 class TestEqualWeightReduction:

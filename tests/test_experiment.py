@@ -334,6 +334,15 @@ class TestRuntimeProfile:
         header = (tmp_path / "prof.csv").read_text().splitlines()[0]
         assert header == "num_samples,attack_seconds,cert_seconds"
 
+    def test_profiles_the_attack_keys_not_the_first_sweep_value(self,
+                                                                tmp_path):
+        # [attack] scheme = certified; the sweep lists uniform first
+        config = parse_config(write_config(tmp_path, seeds="0",
+                                           values="uniform,certified"))
+        assert config.attack.scheme.tag == "certified"
+        [(_, _, cert)] = runtime_profile(config, [5])
+        assert cert > 0.0
+
 
 class TestBudgetSweepDirection:
     def test_more_budget_never_helps_on_average(self, tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from certattack import (GCNParams, LossKind, NoiseSpec, ParameterError,
                         TrainConfig, TrainingError, apply_perturbation,
@@ -10,7 +12,7 @@ from certattack import (GCNParams, LossKind, NoiseSpec, ParameterError,
                         train_arrays, weighted_loss)
 from certattack import gcn
 from certattack.gcn import _loss_rows
-from oracles import central_difference, node_loss
+from oracles import central_difference, gradients_outer, node_loss
 
 
 class TestNormalize:
@@ -163,6 +165,26 @@ class TestGradients:
             mask = np.array([0, 2, 3, 5])
             w[mask] = rng.uniform(0.2, 1.0, mask.size)
             assert _fd_check(g, params, delta, w, mask, kind) <= 1e-4
+
+    @given(st.integers(min_value=0, max_value=2 ** 31),
+           st.integers(min_value=1, max_value=12),
+           st.sampled_from([LossKind("cross_entropy"),
+                            LossKind("cw_margin", kappa=0.5)]))
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical_to_outer_form(self, seed, half, kind):
+        rng = np.random.default_rng(seed)
+        n = 2 * half
+        g = synth_sbm(n, 2, 0.5, 0.1, 4, seed=seed)
+        params = init_params(4, 5, 2, seed=seed)
+        delta = rng.random(num_pairs(n)) * (rng.random(num_pairs(n)) < 0.5)
+        mask = np.flatnonzero(rng.random(n) < 0.6)
+        w = rng.random(n)
+        ours = gradients(params, g.adjacency, delta, g.features, g.labels,
+                         w, mask, kind)
+        oracle = gradients_outer(params, g.adjacency, delta, g.features,
+                                 g.labels, w, mask, kind)
+        for a, b in zip(ours, oracle):
+            assert np.array_equal(a, b)
 
 
 class TestTrain:

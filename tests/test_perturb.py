@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from certattack import (DimensionError, DomainError, Perturbation,
                         apply_perturbation, num_pairs, relax_perturbation)
 from conftest import random_binary_adjacency
-from oracles import xor_dense
+from oracles import relax_scatter, xor_dense
 
 DTYPES = (np.int8, np.bool_, np.int64, np.float64)
 
@@ -120,6 +120,15 @@ class TestRelax:
         adj = np.zeros((2, 2), dtype=np.int8)
         with pytest.raises(DomainError):
             relax_perturbation(adj, np.array([1.2]))
+
+    @given(adjacency_and_delta(binary=False), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_bit_identical_to_scatter(self, case, real_adjacency):
+        adj, delta = case
+        if real_adjacency:  # relaxed adjacencies are real-valued
+            adj = adj * np.random.default_rng(adj.size).random(adj.shape)
+        assert np.array_equal(relax_perturbation(adj, delta),
+                              relax_scatter(adj, delta))
 
 
 class TestPerturbation:

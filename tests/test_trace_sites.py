@@ -16,12 +16,17 @@ from workloads import build_config  # noqa: E402
 
 from certattack.experiment import run_cell  # noqa: E402
 
+# The attack-step kernels that carry the plain-PGD cell.
+DENSE_SITES = ("gcn.relax_perturbation", "attacks.gradients",
+               "attacks.project_budget", "attacks.discretize")
+
 
 def test_tiny_cells_reach_every_trace_site():
     tracer = tracing.Tracer()
     restore = tracer.install()
     try:
-        for workload in ("evasion-cert", "poisoning-cert"):
+        for workload in ("evasion-cert", "poisoning-cert", "evasion-dense"):
+            tracer.cell = workload
             config = build_config(workload, seed=0, tiny=True)
             row = run_cell(config, 0, config.sweep_values[0])
             assert row.status == "ok", row.reason
@@ -29,3 +34,5 @@ def test_tiny_cells_reach_every_trace_site():
         restore()
     reached = {span[3] for span in tracer.spans}
     assert [site for site in tracing.SITES if site not in reached] == []
+    dense = {span[3] for span in tracer.spans if span[2] == "evasion-dense"}
+    assert [site for site in DENSE_SITES if site not in dense] == []

@@ -6,8 +6,8 @@ models), converts certified perturbation sizes into node weights, and runs
 weighted PGD evasion and Minmax poisoning attacks under an edge-flip
 budget, with sweep/reporting plumbing on top.
 """
-from .attacks import (AttackConfig, AttackReport, WeightScheme, cr_loss,
-                      discretize, eigenvector_centrality, evaluate_attack,
+from .attacks import (AttackConfig, AttackReport, WeightScheme, discretize,
+                      eigenvector_centrality, evaluate_attack,
                       minmax_poisoning, node_weights, pgd_evasion,
                       project_budget, read_delta_edges, top_delta_binary,
                       write_delta_edges, write_report_csv)

@@ -129,34 +129,12 @@ def node_weights(scheme: WeightScheme, certificates: list[Certificate] | None,
     if scheme.tag == "centrality":
         cen = eigenvector_centrality(graph.adjacency)
         return expit(-scheme.a * cen[targets])
-    if certificates is None or len(certificates) != targets.size:
-        raise ParameterError(
-            "certified scheme needs one certificate per target node")
-    sizes = np.empty(targets.size)
-    for i, (cert, node) in enumerate(zip(certificates, targets)):
-        if cert.node != node:
-            raise ParameterError(
-                f"certificate for node {cert.node} does not match target {node}")
-        sizes[i] = cert.certified_size
+    if (certificates is None
+            or [cert.node for cert in certificates] != targets.tolist()):
+        raise ParameterError("certified scheme needs one certificate per "
+                             "target node, in target order")
+    sizes = np.array([cert.certified_size for cert in certificates])
     return expit(-scheme.a * sizes)
-
-
-def cr_loss(params: GCNParams, adjacency_real: np.ndarray, graph: Graph,
-            target_nodes: np.ndarray, weights: np.ndarray,
-            kind: LossKind = CROSS_ENTROPY,
-            labels: np.ndarray | None = None) -> float:
-    """Weighted sum of target-node losses; equals the unweighted sum when
-    every weight is one."""
-    targets = np.asarray(target_nodes, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != targets.shape:
-        raise DimensionError("need exactly one weight per target node")
-    if labels is None:
-        labels = graph.labels
-    full = np.zeros(graph.n)
-    full[targets] = weights
-    return weighted_loss(params, adjacency_real, graph.features, labels,
-                         full, targets, kind)
 
 
 def project_budget(relaxed: np.ndarray, budget: int) -> np.ndarray:
@@ -261,10 +239,12 @@ def _attack_loop(graph: Graph, split: DataSplit, targets: np.ndarray,
     weights_history = []
     trajectory = [] if record_trajectory else None
     cert_seconds = 0.0
-    w_targets = None
+    certified = config.scheme.tag == "certified"
+    w_full = np.zeros(graph.n)
     for t in range(config.iterations):
-        if config.scheme.tag == "certified":
-            if t % config.refresh_interval == 0:
+        if t == 0 or (certified and t % config.refresh_interval == 0):
+            certs = None
+            if certified:
                 tick = time.perf_counter()
                 snapshot = apply_perturbation(
                     A, top_delta_binary(delta, config.budget))
@@ -272,13 +252,9 @@ def _attack_loop(graph: Graph, split: DataSplit, targets: np.ndarray,
                                                  labels, config.noise,
                                                  config.smoothing)
                 cert_seconds += time.perf_counter() - tick
-                w_targets = node_weights(config.scheme, certs, graph, targets)
-                weights_history.append((t, w_targets))
-        elif w_targets is None:
-            w_targets = node_weights(config.scheme, None, graph, targets)
-            weights_history.append((0, w_targets))
-        w_full = np.zeros(graph.n)
-        w_full[targets] = w_targets
+            w_targets = node_weights(config.scheme, certs, graph, targets)
+            w_full[targets] = w_targets
+            weights_history.append((t, w_targets))
         if model_step is not None:
             model = model_step(model, delta, w_full)
         loss, _, _, g_delta = gradients(model, A, delta, graph.features,
@@ -291,8 +267,9 @@ def _attack_loop(graph: Graph, split: DataSplit, targets: np.ndarray,
             trajectory.append(delta.copy())
 
     def attack_objective(binary):
-        return cr_loss(model, apply_perturbation(A, binary), graph, targets,
-                       w_targets, config.loss, labels=labels)
+        return weighted_loss(model, apply_perturbation(A, binary),
+                             graph.features, labels, w_full, targets,
+                             config.loss)
 
     rng = np.random.default_rng(mix_seed(config.seed, 0xD15C))
     binary = discretize(delta, config.budget, config.discretize_trials, rng,

@@ -306,10 +306,13 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
 
     A failing cell is recorded as a failed row and the sweep continues;
     with resume=True, cells with an ok row in the raw CSV are skipped and
-    keep their timings.
+    keep their timings.  Pending cells run on min(jobs, cells) worker
+    processes; jobs must be at least 1.
     The merged raw CSV is rewritten in full, sorted, so its bytes do not
     depend on scheduling or on how many resume passes produced it.
     """
+    if jobs < 1:
+        raise ParameterError(f"jobs must be at least 1, got {jobs}")
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     raw_path = out_dir / "raw_results.csv"
@@ -319,7 +322,7 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
     pending = [(s, v) for (s, v) in cells
                if (s, v, _cell_scheme_tag(config, v)) not in existing]
     if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
             fresh = list(pool.map(run_cell, [config] * len(pending),
                                   [s for s, _ in pending],
                                   [v for _, v in pending]))
@@ -388,13 +391,13 @@ def report_distribution(delta_binary: np.ndarray,
     return dict(histogram)
 
 
-def low_size_fraction(histogram: dict, threshold: int = 1) -> float:
-    """Fraction of mapped histogram entries with certified size <= threshold."""
+def low_size_fraction(histogram: dict) -> float:
+    """Fraction of mapped histogram entries with certified size <= 1."""
     mapped = {k: v for k, v in histogram.items() if k != "none"}
     total = sum(mapped.values())
     if total == 0:
         return 0.0
-    low = sum(v for k, v in mapped.items() if k <= threshold)
+    low = sum(v for k, v in mapped.items() if k <= 1)
     return low / total
 
 

@@ -290,29 +290,24 @@ def init_params(feature_dim: int, hidden_dim: int, num_classes: int,
 
 def train_arrays(adjacency_real: np.ndarray, features: np.ndarray,
                  labels: np.ndarray, train_idx: np.ndarray,
-                 config: TrainConfig, num_classes: int, seeds=None):
+                 config: TrainConfig, num_classes: int, seeds) -> list:
     """Full-batch gradient descent on the mean train cross-entropy.
 
     The objective is mean CE over the train mask plus an L2 penalty of
     0.5 * weight_decay * ||W||^2; only labels at train_idx are read. The
     adjacency is fixed, so it is normalized once, before the first epoch.
 
-    An (n, n) adjacency trains one model from config.seed and returns its
-    GCNParams.  A (B, n, n) stack with B `seeds` trains B models in
-    lockstep, model b from seeds[b], and returns a list of B GCNParams;
-    every operation works slice by slice in the order of a single
-    training, so each model is bit-identical to training its adjacency
-    alone.  A divergence raises TrainingError for the lowest failing
-    model, with the epoch at which it fails alone and its index as
-    `model`; the stack stops early only when model 0 diverges.
+    A (B, n, n) stack with B `seeds` trains B models in lockstep, model b
+    from seeds[b], and returns a list of B GCNParams; every operation
+    works slice by slice in the order of a single training, so each model
+    is bit-identical to training its adjacency in a stack of one.  A
+    divergence raises TrainingError for the lowest failing model, with
+    the epoch at which it fails alone and its index as `model`; the
+    stack stops early only when model 0 diverges.
     """
     A = np.asarray(adjacency_real, dtype=np.float64)
-    single = A.ndim == 2 and seeds is None
-    if single:
-        A, seeds = A[None], (config.seed,)
-    if A.ndim != 3 or seeds is None or len(seeds) != A.shape[0]:
-        raise ParameterError("train on an (n, n) adjacency, or on a "
-                             "(B, n, n) stack with B seeds")
+    if A.ndim != 3 or len(seeds) != A.shape[0]:
+        raise ParameterError("train on a (B, n, n) stack with B seeds")
     X = np.asarray(features, dtype=np.float64)
     normalized = _normalize(A)
     labels = np.asarray(labels, dtype=np.int64)
@@ -345,15 +340,15 @@ def train_arrays(adjacency_real: np.ndarray, features: np.ndarray,
     if failed.size:
         b = int(failed[0])
         raise TrainingError(f"loss diverged at epoch {failed_at[b]}", model=b)
-    models = [GCNParams(w1, w2) for w1, w2 in zip(W1, W2)]
-    return models[0] if single else models
+    return [GCNParams(w1, w2) for w1, w2 in zip(W1, W2)]
 
 
 def train(graph: Graph, split: DataSplit, adjacency_real: np.ndarray,
           config: TrainConfig) -> GCNParams:
     """Train on the split's train mask over a (possibly perturbed) adjacency."""
-    return train_arrays(adjacency_real, graph.features, graph.labels,
-                        split.train, config, graph.num_classes)
+    return train_arrays(np.asarray(adjacency_real)[None], graph.features,
+                        graph.labels, split.train, config, graph.num_classes,
+                        [config.seed])[0]
 
 
 _MAGIC = b"GCNPARAM"

@@ -94,11 +94,11 @@ class Perturbation:
     """Budgeted edge-flip variable over the upper-triangle index space.
 
     `relaxed` is the continuous PGD iterate; `binary` is the discretized
-    attack actually applied to the graph (may be absent mid-attack).
+    attack actually applied to the graph.
     """
     relaxed: np.ndarray
     budget: int
-    binary: np.ndarray | None = None
+    binary: np.ndarray
 
     def __post_init__(self):
         self.relaxed = np.asarray(self.relaxed, dtype=float)
@@ -109,15 +109,14 @@ class Perturbation:
         if self.relaxed.sum() > self.budget + SUM_TOLERANCE:
             raise DomainError(
                 f"relaxed mass {self.relaxed.sum():.6f} exceeds budget {self.budget}")
-        if self.binary is not None:
-            self.binary = np.asarray(self.binary)
-            if self.binary.shape != self.relaxed.shape:
-                raise DimensionError("binary and relaxed vectors differ in length")
-            if not ((self.binary == 0) | (self.binary == 1)).all():
-                raise DomainError("binary entries must be 0/1")
-            if int(self.binary.sum()) > self.budget:
-                raise DomainError("binary flip count exceeds budget")
+        self.binary = np.asarray(self.binary)
+        if self.binary.shape != self.relaxed.shape:
+            raise DimensionError("binary and relaxed vectors differ in length")
+        if not ((self.binary == 0) | (self.binary == 1)).all():
+            raise DomainError("binary entries must be 0/1")
+        if int(self.binary.sum()) > self.budget:
+            raise DomainError("binary flip count exceeds budget")
 
     @property
     def num_flips(self) -> int:
-        return 0 if self.binary is None else int(self.binary.sum())
+        return int(self.binary.sum())

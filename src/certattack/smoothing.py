@@ -28,6 +28,8 @@ from .perturb import apply_perturbation, num_pairs
 
 DEFAULT_RADIUS_CAP = 2000
 
+EXACT_PAIRS_CAP = 20
+
 # Poisoning replicates train in lockstep blocks of about this many
 # adjacency entries: STACK_ENTRIES // n**2 replicates, 10 at n = 100.
 STACK_ENTRIES = 100_000
@@ -240,15 +242,14 @@ def certified_size(p_lower: float, spec: NoiseSpec,
 
 
 def exact_smoothed_probs(params: GCNParams, adjacency: np.ndarray,
-                         features: np.ndarray, spec: NoiseSpec,
-                         cap: int = 20) -> np.ndarray:
+                         features: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     """Exact smoothed label distribution for every node by enumerating all
-    2^m noise masks; only feasible for m <= cap."""
+    2^m noise masks; only feasible for m <= EXACT_PAIRS_CAP."""
     n = adjacency.shape[0]
     m = num_pairs(n)
-    if m > cap:
-        raise CapacityError(
-            f"exact enumeration needs 2^{m} masks; cap is 2^{cap}")
+    if m > EXACT_PAIRS_CAP:
+        raise CapacityError(f"exact enumeration needs 2^{m} masks; cap is "
+                            f"2^{EXACT_PAIRS_CAP}")
     probs = np.zeros((n, params.num_classes))
     bits = np.arange(m)
     node_idx = np.arange(n)

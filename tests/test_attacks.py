@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from certattack import (AttackConfig, Certificate, LossKind, NoiseSpec,
                         ParameterError, SmoothingConfig, TrainConfig,
-                        WeightScheme, apply_perturbation, cr_loss, discretize,
-                        evaluate_attack, forward, gradients, init_params,
-                        minmax_poisoning, node_weights,
-                        pgd_evasion, project_budget, split_nodes,
-                        synth_sbm, top_delta_binary, train)
+                        WeightScheme, apply_perturbation, discretize,
+                        eigenvector_centrality, evaluate_attack, forward,
+                        gradients, init_params, minmax_poisoning,
+                        node_weights, pgd_evasion, project_budget,
+                        split_nodes, synth_sbm, top_delta_binary, train,
+                        weighted_loss)
 from certattack import attacks, smoothing
 from certattack.graph import DataSplit, Graph
 from oracles import (discretize_masked, gradients_outer,
@@ -67,14 +69,40 @@ class TestNodeWeights:
         targets = np.array([lo, hi])
         w_deg = node_weights(WeightScheme("degree"), None, sbm_graph, targets)
         assert w_deg[0] > w_deg[1]
+        cen = eigenvector_centrality(sbm_graph.adjacency)
+        targets = np.array([int(np.argmin(cen)), int(np.argmax(cen))])
+        w_cen = node_weights(WeightScheme("centrality", a=2.0), None,
+                             sbm_graph, targets)
+        assert w_cen[0] > w_cen[1]
+        assert np.allclose(w_cen, 1.0 / (1.0 + np.exp(2.0 * cen[targets])),
+                           rtol=1e-12, atol=0.0)
+
+    def test_centrality_is_the_leading_eigenvector(self):
+        graph = synth_sbm(60, 2, 0.3, 0.1, 4, seed=0)
+        A = graph.adjacency.astype(np.float64)
+        assert connected_components(A)[0] == 1
+        values, vectors = np.linalg.eigh(A)
+        assert values[0] > -values[-1] + 1.0  # not bipartite
+        leading = np.abs(vectors[:, -1])
+        assert np.allclose(eigenvector_centrality(graph.adjacency),
+                           leading / leading.max(), rtol=0.0, atol=1e-6)
+
+    def test_out_of_order_certificates_rejected(self, sbm_graph):
+        certs = make_certs([1, 0, 2], [0, 1, 2])
+        with pytest.raises(ParameterError, match="target order"):
+            node_weights(WeightScheme("certified"), certs, sbm_graph,
+                         np.arange(3))
 
 
 class TestCrLoss:
+    """The paper's CR loss is gcn.weighted_loss: sum of w(u) * loss(u)."""
+
     def test_uniform_weights_reduce_to_plain_sum(self, sbm_setup):
         graph, split, params = sbm_setup
         kind = LossKind("cross_entropy")
-        weighted = cr_loss(params, graph.adjacency, graph, split.test,
-                           np.ones(split.test.size), kind)
+        weighted = weighted_loss(params, graph.adjacency, graph.features,
+                                 graph.labels, np.ones(graph.n), split.test,
+                                 kind)
         logits = forward(params, graph.adjacency, graph.features)
         plain = sum(node_loss(logits[v], graph.labels[v], kind)
                     for v in split.test)
@@ -84,15 +112,26 @@ class TestCrLoss:
         graph, split, params = sbm_setup
         kind = LossKind("cross_entropy")
         targets = split.test[:4]
-        w = np.array([1.0, 0.0, 1.0, 1.0])
-        dropped = cr_loss(params, graph.adjacency, graph, targets, w, kind)
-        rest = cr_loss(params, graph.adjacency, graph,
-                       targets[[0, 2, 3]], np.ones(3), kind)
+        w = np.ones(graph.n)
+        w[targets[1]] = 0.0
+        args = (params, graph.adjacency, graph.features, graph.labels, w)
+        dropped = weighted_loss(*args, targets, kind)
+        rest = weighted_loss(*args, targets[[0, 2, 3]], kind)
         assert dropped == pytest.approx(rest, rel=1e-12)
 
-    def test_weighted_arithmetic(self):
-        # weights (0.5, 0.1192) against losses (1.0, 2.0) -> 0.7384
-        assert 0.5 * 1.0 + 0.1192 * 2.0 == pytest.approx(0.7384)
+    def test_weighted_arithmetic(self, sbm_setup):
+        # two targets at the certified-scheme weights of K = 0 and K = 2
+        graph, split, params = sbm_setup
+        targets = split.test[:2]
+        w = np.zeros(graph.n)
+        w[targets] = [0.5, 1.0 / (1.0 + np.exp(2.0))]
+        logits = forward(params, graph.adjacency, graph.features)
+        for kind in (LossKind("cross_entropy"), LossKind("cw_margin", 0.5)):
+            expected = sum(w[v] * node_loss(logits[v], graph.labels[v], kind)
+                           for v in targets)
+            got = weighted_loss(params, graph.adjacency, graph.features,
+                                graph.labels, w, targets, kind)
+            assert got == pytest.approx(expected, rel=1e-12)
 
 
 class TestProjection:

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from certattack import (Certificate, NoiseSpec, ParameterError,
-                        low_size_fraction, parse_config, prepare_cell,
-                        report_distribution, run_sweep, runtime_profile)
+                        build_dataset, low_size_fraction, parse_config,
+                        prepare_cell, report_distribution, run_sweep,
+                        runtime_profile)
 from certattack import experiment
 from certattack.cli import main
 from certattack.experiment import (SWEEP_AXES, DatasetConfig,
@@ -287,6 +288,77 @@ class TestRunSweep:
                                             out=tmp_path / "out2"))
         run_sweep(config2, jobs=2)
         assert (tmp_path / "out2" / "raw_results.csv").read_bytes() == raw
+
+    def test_jobs_bounded_by_pending_cells(self, tmp_path, monkeypatch):
+        # A stand-in pool that records its size and maps serially, so no
+        # worker process is ever started.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        config = parse_config(write_config(tmp_path, seeds="0",
+                                           values="uniform,degree"))
+        rows = run_sweep(config, jobs=64)
+        assert sizes == [2]
+        assert [r.status for r in rows] == ["ok", "ok"]
+        run_sweep(config, jobs=64, resume=True)  # nothing pending
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_is_config_error(self, tmp_path, jobs):
+        config = write_config(tmp_path)
+        with pytest.raises(ParameterError, match="jobs"):
+            run_sweep(parse_config(config), jobs=jobs)
+        assert main(["sweep", "--config", str(config),
+                     "--jobs", str(jobs)]) == 1
+        assert not (tmp_path / "out").exists()
+
+
+class TestFilesDataset:
+    def test_files_cell_matches_sbm_cell(self, tmp_path):
+        config = write_config(tmp_path, seeds="0", values="certified")
+        graph = build_dataset(parse_config(config).dataset)
+        rows, cols = np.nonzero(np.triu(graph.adjacency, k=1))
+        paths = {name: tmp_path / name
+                 for name in ("edges.tsv", "features.csv", "labels.txt")}
+        paths["edges.tsv"].write_text(
+            "".join(f"{s}\t{t}\n" for s, t in zip(rows, cols)))
+        paths["features.csv"].write_text("".join(
+            ",".join(repr(float(v)) for v in row) + "\n"
+            for row in graph.features))
+        paths["labels.txt"].write_text(
+            "".join(f"{y}\n" for y in graph.labels))
+        files = tmp_path / "files.ini"
+        files.write_text(re.sub(
+            r"\[dataset\][^[]*",
+            "[dataset]\nkind = files\n" + "".join(
+                f"{key} = {paths[name]}\n" for key, name in
+                (("edges", "edges.tsv"), ("features", "features.csv"),
+                 ("labels", "labels.txt"))) + "\n",
+            config.read_text()))
+        from_files = parse_config(files)
+        assert from_files.dataset.kind == "files"
+        loaded = build_dataset(from_files.dataset)
+        assert np.array_equal(loaded.adjacency, graph.adjacency)
+        assert np.array_equal(loaded.features, graph.features)
+        untimed = lambda row: replace(row, attack_seconds=0.0,
+                                      cert_seconds=0.0)
+        want = untimed(run_cell(parse_config(config), 0, "certified"))
+        got = untimed(run_cell(from_files, 0, "certified"))
+        assert want.status == "ok"
+        assert got == want
 
 
 class TestReportDistribution:

@@ -256,10 +256,9 @@ class TestTrain:
                                split.train, config, graph.num_classes, seeds)
         assert len(stacked) == 3
         for adj, seed, params in zip(noisy, seeds, stacked):
-            alone = train_arrays(adj, graph.features, graph.labels,
-                                 split.train, TrainConfig(
-                                     epochs=30, learning_rate=0.1, seed=seed),
-                                 graph.num_classes)
+            [alone] = train_arrays(adj[None], graph.features, graph.labels,
+                                   split.train, config, graph.num_classes,
+                                   [seed])
             assert np.array_equal(params.W1, alone.W1)
             assert np.array_equal(params.W2, alone.W2)
 
@@ -286,18 +285,20 @@ class TestTrain:
             with pytest.raises(TrainingError) as stacked:
                 train_arrays(noisy, *args, config, 2, seeds)
             with pytest.raises(TrainingError) as alone:
-                train_arrays(noisy[model], *args,
-                             TrainConfig(learning_rate=1e6, epochs=epochs,
-                                         seed=seeds[model]), 2)
+                train_arrays(noisy[model][None], *args, config, 2,
+                             [seeds[model]])
         assert stacked.value.model == model and alone.value.model == 0
         assert str(stacked.value) == str(alone.value)
         assert str(alone.value) == f"loss diverged at epoch {epoch}"
 
     def test_stack_needs_one_seed_per_adjacency(self, tiny_graph):
+        args = (tiny_graph.features, tiny_graph.labels, np.arange(4),
+                TrainConfig(epochs=5), 2)
         stack = np.stack([tiny_graph.adjacency] * 2)
         with pytest.raises(ParameterError):
-            train_arrays(stack, tiny_graph.features, tiny_graph.labels,
-                         np.arange(4), TrainConfig(epochs=5), 2, [1])
+            train_arrays(stack, *args, [1])
+        with pytest.raises(ParameterError):  # one (n, n) matrix is no stack
+            train_arrays(tiny_graph.adjacency, *args, [1])
 
 
 class TestPredict:

@@ -134,7 +134,8 @@ class TestRelax:
 class TestPerturbation:
     def test_validates_budget_mass(self):
         with pytest.raises(DomainError):
-            Perturbation(np.array([0.9, 0.9]), budget=1)
+            Perturbation(np.array([0.9, 0.9]), budget=1,
+                         binary=np.array([1, 0]))
 
     def test_binary_popcount_capped(self):
         with pytest.raises(DomainError):

@@ -20,8 +20,7 @@ from certattack import (CapacityError, CertificationError, DomainError,
                         mc_counts_poisoning, mix_seed, noise_flips,
                         normalize_adjacency, num_pairs, predict_all,
                         sample_noise, split_nodes, synth_sbm, train,
-                        train_arrays, worst_case_retained,
-                        write_certificates_csv)
+                        worst_case_retained, write_certificates_csv)
 from certattack import gcn, smoothing
 from oracles import mc_counts_evasion_loop, worst_case_retained_exact
 
@@ -206,9 +205,8 @@ class TestMcCountsPoisoning:
         for j in range(9):
             noisy = apply_perturbation(graph.adjacency,
                                        sample_noise(spec, graph.n, 6, j))
-            params = train_arrays(noisy, *args,
-                                  replace(tc, seed=mix_seed(tc.seed, j)),
-                                  graph.num_classes)
+            params = train(graph, split, noisy,
+                           replace(tc, seed=mix_seed(tc.seed, j)))
             reference.append((params.W1, params.W2, noisy))
             preds = predict_all(params, noisy, graph.features)
             expected[np.arange(split.test.size), preds[split.test]] += 1
@@ -246,9 +244,7 @@ class TestMcCountsPoisoning:
         # so the stacked block fails before replicate 0 does.
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingError) as alone:
-                train_arrays(noisy, graph.features, graph.labels,
-                             split.train, replace(tc, seed=mix_seed(3, 0)),
-                             graph.num_classes)
+                train(graph, split, noisy, replace(tc, seed=mix_seed(3, 0)))
             with pytest.raises(CertificationError) as stacked:
                 mc_counts_poisoning(graph.adjacency, graph.features,
                                     graph.labels, split.train, tc,

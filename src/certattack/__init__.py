@@ -14,10 +14,10 @@ from .attacks import (AttackConfig, AttackReport, WeightScheme, discretize,
 from .errors import (CapacityError, CertAttackError, CertificationError,
                      DimensionError, DomainError, GraphLoadError,
                      NumericError, ParameterError, TrainingError)
-from .gcn import (CROSS_ENTROPY, GCNParams, LossKind, TrainConfig, forward,
-                  gradients, init_params, load_params, normalize_adjacency,
-                  param_gradients, predict_all, save_params, train,
-                  train_arrays, weighted_loss)
+from .gcn import (CROSS_ENTROPY, EdgeWorkspace, GCNParams, LossKind,
+                  TrainConfig, forward, gradients, init_params, load_params,
+                  normalize_adjacency, param_gradients, predict_all,
+                  save_params, train, train_arrays, weighted_loss)
 from .graph import (DataSplit, Graph, classification_accuracy, load_graph,
                     split_nodes, synth_sbm)
 from .experiment import (DatasetConfig, ExperimentConfig, ResultRow,

@@ -14,9 +14,9 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DimensionError, GraphLoadError, ParameterError
-from .gcn import (CROSS_ENTROPY, GCNParams, LossKind, TrainConfig, gradients,
-                  init_params, param_gradients, predict_all, train,
-                  weighted_loss)
+from .gcn import (CROSS_ENTROPY, EdgeWorkspace, GCNParams, LossKind,
+                  TrainConfig, gradients, init_params, param_gradients,
+                  predict_all, train, weighted_loss)
 from .graph import DataSplit, Graph, classification_accuracy
 from .perturb import (Perturbation, apply_perturbation, num_pairs,
                       relax_perturbation, triu_pairs)
@@ -241,6 +241,7 @@ def _attack_loop(graph: Graph, split: DataSplit, targets: np.ndarray,
     cert_seconds = 0.0
     certified = config.scheme.tag == "certified"
     w_full = np.zeros(graph.n)
+    work = EdgeWorkspace(A)  # the PGD steps' buffers, for this attack only
     for t in range(config.iterations):
         if t == 0 or (certified and t % config.refresh_interval == 0):
             certs = None
@@ -258,7 +259,8 @@ def _attack_loop(graph: Graph, split: DataSplit, targets: np.ndarray,
         if model_step is not None:
             model = model_step(model, delta, w_full)
         loss, _, _, g_delta = gradients(model, A, delta, graph.features,
-                                        labels, w_full, targets, config.loss)
+                                        labels, w_full, targets, config.loss,
+                                        work=work)
         losses[t] = loss
         step = config.step_size * max(config.budget, 1) / np.sqrt(t + 1.0)
         delta = project_budget(delta + step * g_delta, config.budget)

@@ -79,20 +79,25 @@ class TrainConfig:
             raise ParameterError("hidden_dim must be positive")
 
 
-def _normalize(adjacency_real):
+def _normalize(adjacency_real, out=None):
     """(A + I, its degrees d, d^{-1/2}, Ahat) of a real adjacency A, or of
-    each matrix of a (B, n, n) stack; Ahat = D^{-1/2} (A + I) D^{-1/2}."""
+    each matrix of a (B, n, n) stack; Ahat = D^{-1/2} (A + I) D^{-1/2}.
+    With `out`, Ahat goes there and A + I over A, the caller's buffer."""
     A = np.asarray(adjacency_real, dtype=np.float64)
     if A.min(initial=0.0) < -1e-12:
         raise DomainError("adjacency entries must be nonnegative")
-    return _scale(A + np.eye(A.shape[-1]))
+    if out is None:
+        return _scale(A + np.eye(A.shape[-1]))
+    A.flat[::A.shape[0] + 1] += 1.0
+    return _scale(A, out)
 
 
-def _scale(Atil):
+def _scale(Atil, out=None):
     """_normalize's tuple from Atil = A + I; the only place Ahat is built."""
     deg = Atil.sum(axis=-1)
     s = deg ** -0.5
-    return Atil, deg, s, Atil * (s[..., :, None] * s[..., None, :])
+    Ahat = np.multiply(s[..., :, None], s[..., None, :], out=out)
+    return Atil, deg, s, np.multiply(Atil, Ahat, out=Ahat)
 
 
 def normalize_adjacency(adjacency_real: np.ndarray) -> np.ndarray:
@@ -186,13 +191,13 @@ def _loss_rows(logits, labels, kind):
     return loss, grad
 
 
-def _backward(W1, W2, normalized, X, labels, weights, kind,
-              want_adjacency_grad: bool):
-    """Weighted-sum loss with gradients w.r.t. W1, W2 and (optionally) the
-    real adjacency entries, via the normalization chain rule; `normalized`
-    is the _normalize tuple of the adjacency.  Without the adjacency
-    gradient, weights and adjacencies may be (B, ...) stacks of B models
-    trained in lockstep; the loss is then one value per model."""
+def _backward(W1, W2, normalized, X, labels, weights, kind, spare=None):
+    """Weighted-sum loss with gradients w.r.t. W1, W2 and, given `spare`,
+    the real adjacency entries, via the normalization chain rule;
+    `normalized` is the _normalize tuple of the adjacency.  Without the
+    adjacency gradient, weights and adjacencies may be (B, ...) stacks of
+    B models trained in lockstep; the loss is then one value per model.
+    The adjacency gradient is built over Ahat, A + I and `spare`."""
     Atil, deg, s, Ahat = normalized
     XW1 = X @ W1
     Z1, H1, HW2, Z2 = _propagate(XW1, W2, Ahat)
@@ -203,17 +208,18 @@ def _backward(W1, W2, normalized, X, labels, weights, kind,
     gW2 = np.swapaxes(H1, -1, -2) @ AG2
     GZ1 = np.where(Z1 > 0.0, AG2 @ np.swapaxes(W2, -1, -2), 0.0)
     gW1 = X.T @ (Ahat @ GZ1)
-    if not want_adjacency_grad:
+    if spare is None:
         return total, gW1, gW2, None
-    GA = G2 @ HW2.T + GZ1 @ XW1.T
-    GAt = GA * Atil
+    GA = np.matmul(G2, HW2.T, out=Ahat)
+    GA += np.matmul(GZ1, XW1.T, out=spare)
+    GAt = np.multiply(GA, Atil, out=Atil)
     row_dot = GAt @ s
     col_dot = GAt.T @ s
     d32 = deg ** -1.5
-    Gtil = (GA * (s[:, None] * s[None, :])
-            - (0.5 * (d32 * row_dot))[:, None]
-            - (0.5 * (d32 * col_dot))[None, :])
-    return total, gW1, gW2, Gtil
+    GA *= np.multiply(s[:, None], s[None, :], out=spare)  # now Gtil
+    GA -= (0.5 * (d32 * row_dot))[:, None]
+    GA -= (0.5 * (d32 * col_dot))[None, :]
+    return total, gW1, gW2, GA
 
 
 def weighted_loss(params: GCNParams, adjacency_real: np.ndarray,
@@ -245,32 +251,50 @@ def param_gradients(params: GCNParams, adjacency_real: np.ndarray,
     normalized = _normalize(adjacency_real)
     w = _effective_weights(node_weights, mask, X.shape[0])
     total, gW1, gW2, _ = _backward(params.W1, params.W2, normalized, X,
-                                   np.asarray(labels), w, kind, False)
+                                   np.asarray(labels), w, kind)
     if not (np.isfinite(gW1).all() and np.isfinite(gW2).all()):
         raise NumericError("non-finite parameter gradient")
     return float(total), gW1, gW2
 
 
+class EdgeWorkspace:
+    """gradients()' state on one adjacency: the factor 1 - 2A per pair and
+    three (n, n) float buffers that each call overwrites.  An attack keeps
+    one for all its PGD steps, so no step allocates an n x n array."""
+
+    def __init__(self, adjacency):
+        self.adjacency = np.asarray(adjacency)
+        n = self.adjacency.shape[0]
+        self.sign = 1.0 - 2.0 * self.adjacency[triu_mask(n)].astype(float)
+        self.buffers = np.empty((3, n, n))
+
+
 def gradients(params: GCNParams, adjacency: np.ndarray,
               delta_relaxed: np.ndarray, features: np.ndarray,
               labels: np.ndarray, node_weights: np.ndarray,
-              mask: np.ndarray, kind: LossKind = CROSS_ENTROPY):
+              mask: np.ndarray, kind: LossKind = CROSS_ENTROPY,
+              work: EdgeWorkspace | None = None):
     """Gradients of the weighted masked loss at A' = A + (1-2A) o delta.
 
     Returns (loss, dL/dW1, dL/dW2, dL/ddelta) where the delta gradient
     lives on the strict upper triangle with the mirrored (s,t)/(t,s)
     contributions summed and the XOR-relaxation factor (1-2A) applied.
+    `work` is an EdgeWorkspace of this adjacency; without one, the call
+    builds its own.
     """
-    A = np.asarray(adjacency, dtype=np.float64)
-    n = A.shape[0]
-    A_prime = relax_perturbation(A, delta_relaxed)
+    if work is None:
+        work = EdgeWorkspace(adjacency)
+    elif work.adjacency is not adjacency:
+        raise ParameterError("the workspace belongs to another adjacency")
+    n = work.adjacency.shape[0]
+    Atil, Ahat, spare = work.buffers
+    normalized = _normalize(
+        relax_perturbation(work.adjacency, delta_relaxed, out=Atil), Ahat)
     X = np.asarray(features, dtype=np.float64)
     w = _effective_weights(node_weights, mask, n)
-    total, gW1, gW2, Gtil = _backward(params.W1, params.W2,
-                                      _normalize(A_prime), X,
-                                      np.asarray(labels), w, kind, True)
-    upper = triu_mask(n)
-    g_delta = (1.0 - 2.0 * A[upper]) * (Gtil + Gtil.T)[upper]
+    total, gW1, gW2, Gtil = _backward(params.W1, params.W2, normalized, X,
+                                      np.asarray(labels), w, kind, spare)
+    g_delta = work.sign * np.add(Gtil, Gtil.T, out=spare)[triu_mask(n)]
     if not (np.isfinite(gW1).all() and np.isfinite(gW2).all()
             and np.isfinite(g_delta).all()):
         raise NumericError("non-finite gradient")
@@ -324,7 +348,7 @@ def train_arrays(adjacency_real: np.ndarray, features: np.ndarray,
     failed_at = np.full(len(seeds), -1)  # each model's first bad epoch
     for epoch in range(config.epochs):
         data_loss, gW1, gW2, _ = _backward(W1, W2, normalized, X, labels,
-                                           weights, CROSS_ENTROPY, False)
+                                           weights, CROSS_ENTROPY)
         failed_at[(failed_at < 0) & ~np.isfinite(data_loss)] = epoch
         if failed_at[0] >= 0:
             break

@@ -70,23 +70,31 @@ def apply_perturbation(adjacency: np.ndarray, delta_binary: np.ndarray) -> np.nd
     return out
 
 
-def relax_perturbation(adjacency: np.ndarray, delta_relaxed: np.ndarray) -> np.ndarray:
+def relax_perturbation(adjacency: np.ndarray, delta_relaxed: np.ndarray,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Continuous surrogate of the XOR flip: A' = A + (1 - 2A) * delta.
 
     Coincides exactly with :func:`apply_perturbation` on binary input and is
     differentiable in delta, which is what the attack gradients need.
+    A' goes into `out`, an (n, n) float array, when one is given; no
+    other n x n array is made.
     """
-    adjacency = np.asarray(adjacency, dtype=float)
+    adjacency = np.asarray(adjacency)
     n = adjacency.shape[0]
     delta_relaxed = np.asarray(delta_relaxed, dtype=float)
     if delta_relaxed.shape != (num_pairs(n),):
         raise DimensionError(
             f"relaxed vector length {delta_relaxed.shape} does not match n={n}")
-    if delta_relaxed.min(initial=0.0) < 0.0 or delta_relaxed.max(initial=0.0) > 1.0:
+    if not (delta_relaxed.min(initial=0.0) >= 0.0
+            and delta_relaxed.max(initial=0.0) <= 1.0):
         raise DomainError("relaxed perturbation entries must lie in [0, 1]")
-    upper = np.zeros((n, n))
-    upper[triu_mask(n)] = delta_relaxed
-    return adjacency + (1.0 - 2.0 * adjacency) * (upper + upper.T)
+    out = np.multiply(2.0, adjacency, out=out, dtype=np.float64)
+    np.subtract(1.0, out, out=out)
+    out[triu_mask(n)] *= delta_relaxed  # each pair of both triangles
+    out.T[triu_mask(n)] *= delta_relaxed
+    out.flat[::n + 1] *= 0.0
+    out += adjacency
+    return out
 
 
 @dataclass
@@ -104,7 +112,8 @@ class Perturbation:
         self.relaxed = np.asarray(self.relaxed, dtype=float)
         if self.budget < 0:
             raise ParameterError("budget must be nonnegative")
-        if self.relaxed.min(initial=0.0) < 0.0 or self.relaxed.max(initial=0.0) > 1.0:
+        if not (self.relaxed.min(initial=0.0) >= 0.0
+                and self.relaxed.max(initial=0.0) <= 1.0):
             raise DomainError("relaxed entries must lie in [0, 1]")
         if self.relaxed.sum() > self.budget + SUM_TOLERANCE:
             raise DomainError(

@@ -14,6 +14,7 @@ probability rho(r) consumes the lower-bound mass greedily from the
 highest-ratio region down, fractionally at the boundary.
 """
 import csv
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -268,17 +269,21 @@ def exact_smoothed_probs(params: GCNParams, adjacency: np.ndarray,
 def certificates_from_counts(counts: np.ndarray, target_nodes: np.ndarray,
                              labels: np.ndarray, spec: NoiseSpec,
                              config: SmoothingConfig) -> list[Certificate]:
-    """One certificate per target node from its row of label counts."""
+    """One certificate per target node from its row of label counts; the
+    bound and the size are computed once per distinct true-label count."""
+    bound = functools.cache(lambda count: lower_bound_prob(
+        count, config.num_samples, config.alpha))
+    size_of = functools.cache(lambda p_low: certified_size(
+        p_low, spec, DEFAULT_RADIUS_CAP))
     certs = []
     for i, node in enumerate(np.asarray(target_nodes, dtype=np.int64)):
         row = counts[i]
         smoothed = int(np.argmax(row))
         true_label = int(labels[node])
-        p_low = lower_bound_prob(int(row[true_label]), config.num_samples,
-                                 config.alpha)
+        p_low = bound(int(row[true_label]))
         size = 0
         if smoothed == true_label and p_low > 0.5:
-            size = certified_size(p_low, spec, DEFAULT_RADIUS_CAP)
+            size = size_of(p_low)
         certs.append(Certificate(int(node), true_label, row.copy(), smoothed,
                                  p_low, size, size == DEFAULT_RADIUS_CAP))
     return certs

@@ -185,10 +185,11 @@ def relax_scatter(adjacency, delta_relaxed):
 
 
 def gradients_outer(params, adjacency, delta_relaxed, features, labels,
-                    node_weights, mask, kind):
+                    node_weights, mask, kind, work=None):
     """gradients() with the edge gradient built from np.outer terms and
     gathered at [rows, cols] and [cols, rows]; the forward pass and the
-    weight gradients are gcn's own building blocks."""
+    weight gradients are gcn's own building blocks.  Every array is
+    fresh: `work`, gradients()' buffer workspace, is ignored."""
     A = np.asarray(adjacency, dtype=np.float64)
     n = A.shape[0]
     X = np.asarray(features, dtype=np.float64)

@@ -470,6 +470,33 @@ def assert_same_report(got, want):
         assert t == t_want and np.array_equal(w, w_want)
 
 
+class TestEdgeWorkspaceScope:
+    def test_attacks_on_two_sizes_match_lone_runs(self, small_setup,
+                                                  monkeypatch):
+        graph, split, tc, params = small_setup
+        other = synth_sbm(30, 2, 0.3, 0.03, 4, seed=5)
+        other_split = split_nodes(other, (0.2, 0.1, 0.7), seed=0)
+        runs = [(params, graph, split),
+                (train(other, other_split, other.adjacency, tc), other,
+                 other_split)]
+        config = small_attack_config(budget=6, iterations=16)
+
+        def attack(params, graph, split):
+            return pgd_evasion(params, graph, split, config,
+                               record_trajectory=True)
+
+        with monkeypatch.context() as patch:  # every step on fresh arrays
+            patch.setattr(attacks, "gradients",
+                          lambda *args, work: gradients(*args))
+            lone = {run[1].n: attack(*run) for run in runs}
+        for run in runs * 2:  # n = 40, 30, 40, 30 back to back
+            report = attack(*run)
+            want = lone[run[1].n]
+            assert np.array_equal(report.delta_trajectory,
+                                  want.delta_trajectory)
+            assert_same_report(report, want)
+
+
 class TestMinmaxPoisoning:
     def test_zero_budget_matches_clean_retrain(self, small_setup):
         graph, split, tc, _ = small_setup

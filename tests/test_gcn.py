@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,58 @@ class TestGradients:
                                  g.labels, w, mask, kind)
         for a, b in zip(ours, oracle):
             assert np.array_equal(a, b)
+
+
+class TestEdgeWorkspace:
+    def test_call_allocates_no_n_by_n_array(self):
+        n = 200
+        g = synth_sbm(n, 2, 0.05, 0.005, 4, seed=3)
+        params = init_params(4, 5, 2, seed=3)
+        rng = np.random.default_rng(3)
+        delta = rng.random(num_pairs(n)) * (rng.random(num_pairs(n)) < 0.05)
+        args = (params, g.adjacency, delta, g.features, g.labels,
+                rng.random(n), np.arange(n), LossKind("cw_margin", kappa=0.5))
+        work = gcn.EdgeWorkspace(g.adjacency)
+        gradients(*args, work=work)  # warm-up: fills per-n caches
+        tracemalloc.start()
+        try:
+            gradients(*args, work=work)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the returned length-m gradient and one length-m temporary, not
+        # the 8-9 float (n, n) arrays of a call that builds its own buffers
+        assert peak <= 2 * n * n * 8
+
+    @pytest.mark.parametrize("kind", [LossKind("cross_entropy"),
+                                      LossKind("cw_margin", kappa=0.5)])
+    def test_reuse_matches_fresh_calls_and_oracle(self, kind):
+        n = 16
+        g = synth_sbm(n, 2, 0.5, 0.1, 4, seed=7)
+        params = init_params(4, 5, 2, seed=7)
+        rng = np.random.default_rng(7)
+        mask = np.flatnonzero(rng.random(n) < 0.6)
+        w = rng.random(n)
+        m = num_pairs(n)
+        u = rng.random(m)
+        # entries rise, reach 1, fall back to exactly 0, then all reach 1
+        deltas = [np.zeros(m), 0.3 * u, 0.6 * u, np.where(u > 0.5, 1.0, 0.0),
+                  np.where(u > 0.5, 0.0, 0.6 * u), np.zeros(m), np.ones(m)]
+        work = gcn.EdgeWorkspace(g.adjacency)
+        for delta in deltas:
+            args = (params, g.adjacency, delta, g.features, g.labels, w,
+                    mask, kind)
+            reused = gradients(*args, work=work)
+            for want in (gradients(*args), gradients_outer(*args)):
+                for a, b in zip(reused, want, strict=True):
+                    assert np.array_equal(a, b)
+
+    def test_workspace_of_another_adjacency_rejected(self, tiny_graph):
+        work = gcn.EdgeWorkspace(tiny_graph.adjacency.copy())
+        with pytest.raises(ParameterError):
+            gradients(init_params(4, 3, 2, seed=0), tiny_graph.adjacency,
+                      np.zeros(num_pairs(4)), tiny_graph.features,
+                      tiny_graph.labels, np.ones(4), np.arange(4), work=work)
 
 
 class TestTrain:

@@ -121,6 +121,16 @@ class TestRelax:
         with pytest.raises(DomainError):
             relax_perturbation(adj, np.array([1.2]))
 
+    @pytest.mark.parametrize("check", [
+        lambda d: relax_perturbation(np.zeros((3, 3), dtype=np.int8), d),
+        lambda d: Perturbation(d, budget=1, binary=np.zeros(3))],
+        ids=["relax", "perturbation"])
+    def test_nan_rejected(self, check):
+        # NaN fails every comparison, so a range check must ask for
+        # inside [0, 1] rather than look for outside it
+        with pytest.raises(DomainError):
+            check(np.array([np.nan, 0.0, 0.0]))
+
     @given(adjacency_and_delta(binary=False), st.booleans())
     @settings(max_examples=50, deadline=None)
     def test_bit_identical_to_scatter(self, case, real_adjacency):

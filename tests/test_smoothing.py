@@ -376,6 +376,29 @@ class TestCertifiedSize:
                                      np.zeros(1, dtype=np.int64),
                                      NoiseSpec(0.6), SmoothingConfig(200, 0.1))
 
+    def test_certificates_compute_each_count_once(self, monkeypatch):
+        # true-label counts 150, 150, 150, 50, 190: three bounds, and two
+        # sizes, since a count of 50 certifies nothing
+        counts = np.array([[150, 50], [150, 50], [50, 150], [150, 50],
+                           [190, 10]])
+        labels = np.array([0, 0, 1, 1, 0])
+        spec, config = NoiseSpec(0.8), SmoothingConfig(200, 0.1)
+        calls = []
+        for name in ("lower_bound_prob", "certified_size"):
+            def counted(*args, fn=getattr(smoothing, name), name=name):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(smoothing, name, counted)
+        certs = certificates_from_counts(counts, np.arange(5), labels, spec,
+                                         config)
+        assert calls.count("lower_bound_prob") == 3
+        assert calls.count("certified_size") == 2
+        for cert, row, label in zip(certs, counts, labels):
+            p_low = lower_bound_prob(int(row[label]), 200, 0.1)
+            assert cert.p_lower == p_low
+            assert cert.certified_size == (
+                certified_size(p_low, spec) if row.argmax() == label else 0)
+
 
 class TestExactSmoothedProb:
     def test_beta_one_is_point_mass(self, tiny_graph):

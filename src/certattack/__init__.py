@@ -16,8 +16,9 @@ from .errors import (CapacityError, CertAttackError, CertificationError,
                      NumericError, ParameterError, TrainingError)
 from .gcn import (CROSS_ENTROPY, EdgeWorkspace, GCNParams, LossKind,
                   TrainConfig, forward, gradients, init_params, load_params,
-                  normalize_adjacency, param_gradients, predict_all,
-                  save_params, train, train_arrays, weighted_loss)
+                  noisy_forward, normalize_adjacency, param_gradients,
+                  predict_all, save_params, train, train_arrays,
+                  weighted_logit_loss, weighted_loss)
 from .graph import (DataSplit, Graph, classification_accuracy, load_graph,
                     split_nodes, synth_sbm)
 from .experiment import (DatasetConfig, ExperimentConfig, ResultRow,

@@ -15,8 +15,8 @@ from scipy.special import expit
 
 from .errors import DimensionError, GraphLoadError, ParameterError
 from .gcn import (CROSS_ENTROPY, EdgeWorkspace, GCNParams, LossKind,
-                  TrainConfig, gradients, init_params, param_gradients,
-                  predict_all, train, weighted_loss)
+                  TrainConfig, gradients, init_params, noisy_forward,
+                  param_gradients, predict_all, train, weighted_logit_loss)
 from .graph import DataSplit, Graph, classification_accuracy
 from .perturb import (Perturbation, apply_perturbation, num_pairs,
                       relax_perturbation, triu_pairs)
@@ -106,10 +106,9 @@ def eigenvector_centrality(adjacency: np.ndarray) -> np.ndarray:
         if norm == 0.0:
             return np.ones(n)
         y /= norm
-        if np.abs(y - x).max() < CENTRALITY_TOL:
-            x = y
+        x, moved = y, np.abs(y - x).max()
+        if moved < CENTRALITY_TOL:
             break
-        x = y
     x = np.abs(x)
     top = x.max()
     return x / top if top > 0 else np.ones(n)
@@ -268,10 +267,12 @@ def _attack_loop(graph: Graph, split: DataSplit, targets: np.ndarray,
         if record_trajectory:
             trajectory.append(delta.copy())
 
-    def attack_objective(binary):
-        return weighted_loss(model, apply_perturbation(A, binary),
-                             graph.features, labels, w_full, targets,
-                             config.loss)
+    del work  # dead after the last step; freed before the scorer's A + I
+    logits_on = noisy_forward(model, A, graph.features)
+
+    def attack_objective(binary):  # the CR loss on A xor binary
+        return weighted_logit_loss(logits_on(np.flatnonzero(binary)), labels,
+                                   w_full, targets, config.loss)
 
     rng = np.random.default_rng(mix_seed(config.seed, 0xD15C))
     binary = discretize(delta, config.budget, config.discretize_trials, rng,
@@ -290,14 +291,9 @@ def _attack_loop(graph: Graph, split: DataSplit, targets: np.ndarray,
 def pgd_evasion(params: GCNParams, graph: Graph, split: DataSplit,
                 config: AttackConfig,
                 record_trajectory: bool = False) -> AttackReport:
-    """Projected-gradient evasion attack with certificate-refresh weights.
-
-    Certificates (certified scheme only) are recomputed every
-    refresh_interval iterations against the binarized snapshot of the
-    current perturbation, with the fixed trained model; other schemes
-    compute their weights once.  The uniform scheme is exactly the plain
-    PGD base attack.
-    """
+    """Projected-gradient evasion attack on the fixed trained model, which
+    the certified scheme recertifies on each snapshot (see _attack_loop);
+    the uniform scheme is exactly the plain PGD base attack."""
     targets = split.test
     if targets.size == 0:
         raise ParameterError("evasion attack needs a non-empty test mask")
@@ -318,17 +314,12 @@ def pgd_evasion(params: GCNParams, graph: Graph, split: DataSplit,
 def minmax_poisoning(graph: Graph, split: DataSplit,
                      train_config: TrainConfig, config: AttackConfig,
                      record_trajectory: bool = False) -> AttackReport:
-    """Alternating min-max poisoning attack over the training nodes.
-
-    Each iteration takes one model-descent step on the weighted training
-    loss and one projected ascent step on the relaxed perturbation; the
-    certified scheme refreshes weights every refresh_interval iterations
-    by training fresh classifiers on noisy copies of the current
-    binarized snapshot.  Labels outside the train mask are never read by
-    the optimization (they are masked out), so the attack is blind to
-    test labels; the reported accuracies come from a separate clean
-    retraining evaluation.
-    """
+    """Alternating min-max poisoning attack over the training nodes: each
+    iteration takes one model-descent step on the weighted training loss
+    and one projected ascent step; the certified scheme recertifies by
+    training classifiers on noisy copies of each snapshot.  Labels outside
+    the train mask are masked out, so the attack is blind to test labels;
+    the reported accuracies come from a separate clean retraining."""
     targets = split.train
     labels_masked = np.where(np.isin(np.arange(graph.n), targets),
                              graph.labels, -1)
@@ -349,9 +340,7 @@ def minmax_poisoning(graph: Graph, split: DataSplit,
         return GCNParams(theta.W1 - config.inner_step_size * gW1,
                          theta.W2 - config.inner_step_size * gW2)
 
-    def retrain(adjacency):
-        return train(graph, split, adjacency, train_config)
-
+    retrain = functools.partial(train, graph, split, config=train_config)
     return _attack_loop(graph, split, targets, labels_masked, theta, config,
                         certify, retrain, model_step=model_step,
                         record_trajectory=record_trajectory)

@@ -24,19 +24,20 @@ EXIT_PARTIAL = 3
 
 
 def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", type=Path, default=None,
+                     help="override the output directory")
+    common = argparse.ArgumentParser(add_help=False, parents=[out])
     common.add_argument("--config", type=Path, help="experiment config file")
     common.add_argument("--seed", type=int, default=None,
                         help="override the config seed list with one seed")
-    common.add_argument("--out", type=Path, default=None,
-                        help="override the output directory")
     parser = argparse.ArgumentParser(
         prog="certattack",
         description="certificate-guided attacks on graph neural networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, text):
-        cmd = sub.add_parser(name, parents=[common], help=text)
+    def command(name, run, text, parent=common):
+        cmd = sub.add_parser(name, parents=[parent], help=text)
         cmd.set_defaults(run=run)
         return cmd
 
@@ -53,7 +54,7 @@ def _build_parser():
     sweep.add_argument("--resume", action="store_true",
                        help="skip sweep cells with an ok row in the raw CSV")
     dist = command("report-distribution", cmd_report_distribution,
-                   "histogram perturbed edges by certified size")
+                   "histogram perturbed edges by certified size", out)
     dist.add_argument("--delta", type=Path, required=True,
                       help="edge-flip list produced by an attack")
     dist.add_argument("--certificates", type=Path, required=True,

@@ -273,27 +273,34 @@ RAW_HEADER = ["seed", "axis", "value", "scheme", "pre_accuracy",
 
 def _read_existing_rows(path: Path) -> dict:
     """Rows of a previous run that finished, with the timings that the
-    timings.csv beside it records; failed cells run again."""
+    timings.csv beside it records; failed cells run again.  A foreign
+    header or a malformed row is a ParameterError naming file and line."""
     done = {}
     if not path.exists():
         return done
     with open(path, "r", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            if rec["status"] != "ok":
-                continue
-            key = (int(rec["seed"]), rec["value"], rec["scheme"])
-            done[key] = ResultRow(
-                seed=int(rec["seed"]), axis=rec["axis"], value=rec["value"],
-                scheme=rec["scheme"],
-                pre_accuracy=float(rec["pre_accuracy"]),
-                post_accuracy=float(rec["post_accuracy"]),
-                budget_used=int(rec["budget_used"]))
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != RAW_HEADER:
+            raise ParameterError(f"{path}:1: not a raw results header")
+        for rec in reader:
+            try:
+                if None in rec or None in rec.values():
+                    raise ValueError(f"expected {len(RAW_HEADER)} fields")
+                if rec["status"] != "ok":
+                    continue
+                row = ResultRow(
+                    int(rec["seed"]), rec["axis"], rec["value"], rec["scheme"],
+                    float(rec["pre_accuracy"]), float(rec["post_accuracy"]),
+                    int(rec["budget_used"]))
+            except ValueError as exc:
+                raise ParameterError(
+                    f"{path}:{reader.line_num}: {exc}") from None
+            done[row.sort_key()] = row
     timings_path = path.with_name("timings.csv")
     if timings_path.exists():
         with open(timings_path, "r", newline="") as fh:
             for rec in csv.DictReader(fh):
-                row = done.get((int(rec["seed"]), rec["value"],
-                                rec["scheme"]))
+                row = done.get((int(rec["seed"]), rec["value"], rec["scheme"]))
                 if row is not None:
                     row.attack_seconds = float(rec["attack_seconds"])
                     row.cert_seconds = float(rec["cert_seconds"])

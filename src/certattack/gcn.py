@@ -52,10 +52,6 @@ class GCNParams:
             raise ParameterError("weights contain non-finite entries")
 
     @property
-    def hidden_dim(self) -> int:
-        return self.W1.shape[1]
-
-    @property
     def num_classes(self) -> int:
         return self.W2.shape[1]
 
@@ -82,13 +78,14 @@ class TrainConfig:
 def _normalize(adjacency_real, out=None):
     """(A + I, its degrees d, d^{-1/2}, Ahat) of a real adjacency A, or of
     each matrix of a (B, n, n) stack; Ahat = D^{-1/2} (A + I) D^{-1/2}.
-    With `out`, Ahat goes there and A + I over A, the caller's buffer."""
-    A = np.asarray(adjacency_real, dtype=np.float64)
+    With `out`, Ahat goes there and A + I over A, the caller's buffer;
+    without, A + I is built in a float copy.  The only place it is built."""
+    A = (np.array(adjacency_real, dtype=np.float64) if out is None
+         else adjacency_real)
     if A.min(initial=0.0) < -1e-12:
         raise DomainError("adjacency entries must be nonnegative")
-    if out is None:
-        return _scale(A + np.eye(A.shape[-1]))
-    A.flat[::A.shape[0] + 1] += 1.0
+    diagonal = np.arange(A.shape[-1])
+    A[..., diagonal, diagonal] += 1.0
     return _scale(A, out)
 
 
@@ -140,24 +137,30 @@ def predict_all(params: GCNParams, adjacency: np.ndarray,
     return np.argmax(forward(params, adjacency, features), axis=1)
 
 
-def predict_noisy(params: GCNParams, adjacency: np.ndarray,
-                  features: np.ndarray, flips):
-    """Yield predict_all's predictions on A xor f for each f in `flips`,
-    the pair indices that one noise mask flips; A is symmetric and 0/1.
-    One float A + I takes 1 - v at the flipped pairs while Ahat is built,
-    so the float operations are predict_all's, with X W1 computed once."""
-    n = adjacency.shape[0]
-    Atil = np.asarray(adjacency, dtype=np.float64) + np.eye(n)
+def noisy_forward(params: GCNParams, adjacency: np.ndarray,
+                  features: np.ndarray):
+    """logits_on(pairs) -> forward's logits on A xor pairs, for pair indices
+    in triu_pairs order; A must be symmetric and 0/1.  One float A + I takes
+    1 - v at the flipped pairs while Ahat is built and v again after, so the
+    float operations are forward's on the XOR-ed copy; X W1 is made once."""
+    A = np.asarray(adjacency)
+    if (A.ndim != 2 or A.shape != A.T.shape or (A != A.T).any()
+            or not ((A == 0) | (A == 1)).all()):
+        raise DomainError("adjacency must be a symmetric 0/1 matrix")
+    n = A.shape[0]
+    Atil = _normalize(A)[0]  # the clean Ahat it also builds goes unused
     flat = Atil.reshape(-1)
     XW1 = np.asarray(features, dtype=np.float64) @ params.W1
     rows, cols = triu_pairs(n)
     upper, lower = rows * n + cols, cols * n + rows
-    for pairs in flips:
+
+    def logits_on(pairs):
         i, k = upper[pairs], lower[pairs]
         flat[i] = flat[k] = 1.0 - flat[i]
         Ahat = _scale(Atil)[3]
         flat[i] = flat[k] = 1.0 - flat[i]  # flipping again restores A + I
-        yield np.argmax(_logits(XW1, params.W2, Ahat), axis=1)
+        return _logits(XW1, params.W2, Ahat)
+    return logits_on
 
 
 def _loss_rows(logits, labels, kind):
@@ -226,11 +229,20 @@ def weighted_loss(params: GCNParams, adjacency_real: np.ndarray,
                   features: np.ndarray, labels: np.ndarray,
                   node_weights: np.ndarray, mask: np.ndarray,
                   kind: LossKind = CROSS_ENTROPY) -> float:
-    """Sum over masked nodes of weight(u) * loss(u)."""
-    logits = forward(params, adjacency_real, features)
+    """Sum over masked nodes of weight(u) * loss(u) at forward's logits."""
+    return weighted_logit_loss(forward(params, adjacency_real, features),
+                               labels, node_weights, mask, kind)
+
+
+def weighted_logit_loss(logits: np.ndarray, labels: np.ndarray,
+                        node_weights: np.ndarray, mask: np.ndarray,
+                        kind: LossKind = CROSS_ENTROPY) -> float:
+    """The CR loss: sum over masked nodes u of weight(u) * loss(u), from
+    the model's logits; the weights of masked nodes must be nonnegative."""
     mask = np.asarray(mask, dtype=np.int64)
+    w = _effective_weights(node_weights, mask, logits.shape[0])
     loss_rows, _ = _loss_rows(logits, np.asarray(labels), kind)
-    return float(np.asarray(node_weights)[mask] @ loss_rows[mask])
+    return float(w[mask] @ loss_rows[mask])
 
 
 def _effective_weights(node_weights, mask, n):

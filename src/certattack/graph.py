@@ -1,7 +1,7 @@
 """Graph data model, dataset I/O, synthetic benchmarks, splits and metrics."""
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,11 +48,10 @@ class Graph:
             raise ParameterError(
                 f"labels must lie in [0, {self.num_classes}), "
                 f"got range [{labels.min()}, {labels.max()}]")
-        for arr in (adjacency, features, labels):
+        for name, arr in (("adjacency", adjacency), ("features", features),
+                          ("labels", labels)):
             arr.setflags(write=False)
-        object.__setattr__(self, "adjacency", adjacency)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -69,29 +68,25 @@ class Graph:
 
 @dataclass(frozen=True)
 class DataSplit:
-    """Disjoint train/val/test node-index sets."""
+    """Disjoint train/val/test node-index sets over the nodes [0, n)."""
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
-    n: int = field(default=0)
+    n: int
 
     def __post_init__(self):
-        train = np.sort(np.asarray(self.train, dtype=np.int64))
-        val = np.sort(np.asarray(self.val, dtype=np.int64))
-        test = np.sort(np.asarray(self.test, dtype=np.int64))
-        merged = np.concatenate([train, val, test])
-        if merged.size and (merged.min() < 0 or
-                            (self.n and merged.max() >= self.n)):
+        masks = {name: np.sort(np.asarray(getattr(self, name), dtype=np.int64))
+                 for name in ("train", "val", "test")}
+        merged = np.concatenate(list(masks.values()))
+        if merged.size and (merged.min() < 0 or merged.max() >= self.n):
             raise ParameterError("split indices out of node range")
         if len(np.unique(merged)) != merged.size:
             raise ParameterError("split masks must be pairwise disjoint")
-        if train.size == 0:
+        if masks["train"].size == 0:
             raise ParameterError("train mask must be non-empty")
-        for arr in (train, val, test):
+        for name, arr in masks.items():
             arr.setflags(write=False)
-        object.__setattr__(self, "train", train)
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "test", test)
+            object.__setattr__(self, name, arr)
 
 
 def _read_table(path, kind: str) -> list[list[str]]:

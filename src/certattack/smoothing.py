@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv, gammaln
 
-from .errors import (CapacityError, CertificationError, DomainError,
-                     GraphLoadError, ParameterError, TrainingError)
-from .gcn import (GCNParams, TrainConfig, predict_all, predict_noisy,
+from .errors import (CapacityError, CertificationError, GraphLoadError,
+                     ParameterError, TrainingError)
+from .gcn import (GCNParams, TrainConfig, noisy_forward, predict_all,
                   train_arrays)
 from .perturb import apply_perturbation, num_pairs
 
@@ -112,21 +112,16 @@ def mc_counts_evasion(params: GCNParams, adjacency: np.ndarray,
                       features: np.ndarray, target_nodes: np.ndarray,
                       spec: NoiseSpec, config: SmoothingConfig,
                       flips: list | None = None) -> np.ndarray:
-    """Monte Carlo label counts under noise for a fixed trained model.
-
-    Each of the N noisy graphs is classified once and serves every
-    target node.  A caller may keep flips = noise_flips(spec, n, config)
-    across adjacencies, else they are drawn here; A is symmetric and 0/1.
-    """
-    A = np.asarray(adjacency)
-    if (A.ndim != 2 or A.shape != A.T.shape or (A != A.T).any()
-            or not ((A == 0) | (A == 1)).all()):
-        raise DomainError("adjacency must be a symmetric 0/1 matrix")
+    """Monte Carlo label counts under noise for a fixed trained model: each
+    of the N noisy graphs is classified once and serves every target node.
+    A caller may keep flips = noise_flips(spec, n, config) across
+    adjacencies, else they are drawn here; A is symmetric and 0/1."""
+    logits_on = noisy_forward(params, adjacency, features)
     targets = np.asarray(target_nodes, dtype=np.int64)
     counts = np.zeros((targets.size, params.num_classes), dtype=np.int64)
     first = np.arange(targets.size) * params.num_classes  # row starts
-    for preds in predict_noisy(params, A, features,
-                               flips or _draw_flips(spec, len(A), config)):
+    for pairs in flips or _draw_flips(spec, len(adjacency), config):
+        preds = np.argmax(logits_on(pairs), axis=1)
         counts.reshape(-1)[first + preds[targets]] += 1
     return counts
 

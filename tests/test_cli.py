@@ -96,6 +96,14 @@ class TestCli:
             main(["train", "--config", str(config), "--jobs", "2"])
         assert exc.value.code == 2  # argparse: unrecognized argument
 
+    @pytest.mark.parametrize("flag", [["--config", "/nonexistent.ini"],
+                                      ["--seed", "7"]])
+    def test_report_distribution_takes_no_config_flags(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["report-distribution", "--delta", str(tmp_path / "d.tsv"),
+                  "--certificates", str(tmp_path / "c.csv"), *flag])
+        assert exc.value.code == 2  # argparse: unrecognized argument
+
     def test_missing_config_is_config_error(self):
         assert main(["train", "--config", "/nonexistent/config.ini"]) == 1
 
@@ -131,8 +139,10 @@ class TestCli:
 
     def test_seed_override(self, tmp_path):
         config = write_config(tmp_path)
-        assert main(["sweep", "--config", str(config), "--seed", "7"]) == 0
-        raw = (tmp_path / "out" / "raw_results.csv").read_text()
+        assert main(["sweep", "--config", str(config), "--seed", "7",
+                     "--out", str(tmp_path / "seven")]) == 0
+        assert not (tmp_path / "out").exists()
+        raw = (tmp_path / "seven" / "raw_results.csv").read_text()
         seeds = {line.split(",")[0] for line in raw.splitlines()[1:]}
         assert seeds == {"7"}
 

@@ -192,7 +192,7 @@ class TestRunSweep:
 
     def test_resume_skips_done_cells_and_matches(self, tmp_path):
         config = parse_config(write_config(tmp_path, seeds="0,1"))
-        rows = run_sweep(config)
+        rows = run_sweep(config, resume=True)  # no raw CSV yet: runs all
         raw = (tmp_path / "out" / "raw_results.csv").read_bytes()
         partial = [r for r in rows if r.seed == 0]
         path = tmp_path / "out" / "raw_results.csv"
@@ -208,6 +208,24 @@ class TestRunSweep:
                                  row.status, row.reason])
         run_sweep(config, resume=True)
         assert path.read_bytes() == raw
+
+    @pytest.mark.parametrize("line, field, text", [
+        (1, 7, "state"), (3, 4, "high"), (2, 6, "1.5"), (3, 5, None)],
+        ids=["foreign-header", "accuracy", "budget", "missing-field"])
+    def test_resume_rejects_a_malformed_raw_csv(self, tmp_path, line, field,
+                                                text):
+        config = parse_config(write_config(tmp_path, seeds="0,1"))
+        run_sweep(config)
+        path = tmp_path / "out" / "raw_results.csv"
+        with open(path, newline="") as fh:
+            records = list(csv.reader(fh))
+        records[line - 1][field:field + 1] = [] if text is None else [text]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(records)
+        with pytest.raises(ParameterError, match=f"raw_results.csv:{line}:"):
+            run_sweep(config, resume=True)
+        assert main(["sweep", "--config", str(tmp_path / "config.ini"),
+                     "--resume"]) == 1
 
     def test_resume_retries_failed_cells(self, tmp_path):
         config = parse_config(write_config(tmp_path, seeds="0,1"))
@@ -383,12 +401,14 @@ class TestReportDistribution:
         hist = report_distribution(delta, certs)
         assert hist == {"none": 1}
 
-    def test_certified_size_map(self):
+    def test_certified_size_map(self, tmp_path):
         # the {node: K} map that read_certificates_csv returns
         delta = np.zeros(6, dtype=np.int8)
         delta[[0, 5]] = 1  # pairs (0, 1) and (2, 3)
-        hist = report_distribution(delta, {0: 1, 1: 3})
+        hist = report_distribution(delta, {0: 1, 1: 3}, tmp_path / "d.csv")
         assert hist == {1: 1, 3: 1, "none": 1}
+        assert (tmp_path / "d.csv").read_text().splitlines() == [
+            "certified_size,edge_count", "1,1", "3,1", "none,1"]
 
     def test_low_size_fraction(self):
         assert low_size_fraction({0: 3, 1: 1, 4: 4, "none": 7}) == 0.5

@@ -9,11 +9,11 @@ from certattack import (GCNParams, LossKind, NoiseSpec, ParameterError,
                         TrainConfig, TrainingError, apply_perturbation,
                         forward, gradients, init_params, load_params,
                         mix_seed, normalize_adjacency, num_pairs,
-                        predict_all, relax_perturbation, sample_noise,
+                        param_gradients, predict_all, relax_perturbation,
+                        sample_noise,
                         save_params, split_nodes, synth_sbm, train,
-                        train_arrays, weighted_loss)
+                        train_arrays, weighted_logit_loss, weighted_loss)
 from certattack import gcn
-from certattack.gcn import _loss_rows
 from oracles import central_difference, gradients_outer, node_loss
 
 
@@ -93,9 +93,10 @@ class TestNodeLoss:
         logits = rng.normal(size=(6, 4))
         labels = rng.integers(0, 4, 6)
         for kind in (LossKind("cross_entropy"), LossKind("cw_margin", 1.0)):
-            rows, _ = _loss_rows(logits, labels, kind)
             for i in range(6):
-                assert rows[i] == pytest.approx(
+                row = weighted_logit_loss(logits, labels, np.ones(6), [i],
+                                          kind)
+                assert row == pytest.approx(
                     node_loss(logits[i], labels[i], kind), rel=1e-12)
 
 
@@ -141,6 +142,25 @@ class TestGradients:
                                     tiny_graph.features, tiny_graph.labels,
                                     w, np.arange(4), LossKind("cross_entropy"))
         assert np.all(gW1 == 0) and np.all(gW2 == 0) and np.all(gd == 0)
+
+    @pytest.mark.parametrize("loss_fn", ["weighted_loss", "gradients",
+                                         "param_gradients"])
+    def test_negative_masked_weight_rejected(self, tiny_graph, loss_fn):
+        params = init_params(4, 3, 2, seed=1)
+        adjacency, X, y = (tiny_graph.adjacency, tiny_graph.features,
+                           tiny_graph.labels)
+        call = {
+            "weighted_loss": lambda w, mask: weighted_loss(
+                params, adjacency, X, y, w, mask),
+            "gradients": lambda w, mask: gradients(
+                params, adjacency, np.zeros(num_pairs(4)), X, y, w, mask),
+            "param_gradients": lambda w, mask: param_gradients(
+                params, adjacency, X, y, w, mask),
+        }[loss_fn]
+        w = np.array([-1.0, 1.0, 0.5, 2.0])
+        with pytest.raises(ParameterError, match="nonnegative"):
+            call(w, np.arange(4))
+        call(w, np.arange(1, 4))  # only masked weights are read
 
     def test_linearity_in_weights(self, tiny_graph):
         params = init_params(4, 3, 2, seed=1)

@@ -127,6 +127,13 @@ class TestSplitNodes:
         with pytest.raises(ParameterError, match="disjoint"):
             DataSplit(np.array([0, 1]), np.array([1]), np.array([2]), n=3)
 
+    def test_node_count_is_required_and_bounds_indices(self):
+        with pytest.raises(TypeError):
+            DataSplit([0, 1], [], [5000])
+        with pytest.raises(ParameterError, match="node range"):
+            DataSplit([0, 1], [], [5000], n=100)
+        assert DataSplit([0, 1], [], [99], n=100).test.tolist() == [99]
+
 
 class TestAccuracy:
     def test_all_correct(self):

@@ -15,13 +15,13 @@ from certattack import (CapacityError, CertificationError, DomainError,
                         NoiseSpec, ParameterError, SmoothingConfig,
                         TrainConfig, TrainingError, apply_perturbation,
                         certificates_from_counts, certified_size,
-                        certify_nodes, exact_smoothed_probs, init_params,
-                        lower_bound_prob, mc_counts_evasion,
+                        certify_nodes, exact_smoothed_probs, forward,
+                        init_params, lower_bound_prob, mc_counts_evasion,
                         mc_counts_poisoning, mix_seed, noise_flips,
-                        normalize_adjacency, num_pairs, predict_all,
+                        noisy_forward, num_pairs, predict_all,
                         sample_noise, split_nodes, synth_sbm, train,
                         worst_case_retained, write_certificates_csv)
-from certattack import gcn, smoothing
+from certattack import smoothing
 from oracles import mc_counts_evasion_loop, worst_case_retained_exact
 
 
@@ -130,27 +130,17 @@ class TestEvasionFlipLists:
         flips = noise_flips(spec, 100, config)
         assert np.array_equal(mc_counts_evasion(*args, flips), want)
 
-    def test_each_noisy_graph_is_normalized_bit_for_bit(self, monkeypatch):
-        # counts hide most float differences, so compare what the fused
-        # loop feeds its layers with normalize_adjacency of the XOR-ed copy
+    def test_each_noisy_graph_matches_forward_bit_for_bit(self):
+        # counts hide most float differences, so compare the scorer's
+        # logits with forward's on the XOR-ed copy, byte for byte
         graph, params = exactness_case(30)
         spec, config = NoiseSpec(0.8), SmoothingConfig(20, 0.1, seed=3)
-        seen, logits = [], gcn._logits
-
-        def recording(XW1, W2, Ahat):
-            seen.append((XW1, Ahat))
-            return logits(XW1, W2, Ahat)
-
-        monkeypatch.setattr(gcn, "_logits", recording)
-        mc_counts_evasion(params, graph.adjacency, graph.features,
-                          np.arange(30), spec, config,
-                          noise_flips(spec, 30, config))
-        assert len(seen) == 20
-        for j, (XW1, Ahat) in enumerate(seen):
+        logits_on = noisy_forward(params, graph.adjacency, graph.features)
+        for j, pairs in enumerate(noise_flips(spec, 30, config)):
             noisy = apply_perturbation(graph.adjacency,
                                        sample_noise(spec, 30, 3, j))
-            assert np.array_equal(Ahat, normalize_adjacency(noisy))
-            assert np.array_equal(XW1, graph.features @ params.W1)
+            assert logits_on(pairs).tobytes() == forward(
+                params, noisy, graph.features).tobytes()
 
     def test_over_cap_draws_in_the_same_loop(self, monkeypatch):
         graph, params = exactness_case(30)
@@ -165,7 +155,7 @@ class TestEvasionFlipLists:
     @pytest.mark.parametrize("bad", ["two", "negative", "non-square",
                                      "asymmetric", "vector"])
     def test_adjacency_must_be_symmetric_and_binary(self, bad):
-        # predict_noisy flips each pair back from its upper entry, so an
+        # the scorer flips each pair back from its upper entry, so an
         # asymmetric A would come back changed after the first graph
         graph, params = exactness_case(30)
         adjacency = graph.adjacency.astype(np.int64)
@@ -181,6 +171,8 @@ class TestEvasionFlipLists:
             mc_counts_evasion(params, adjacency, graph.features,
                               np.arange(30), NoiseSpec(0.9),
                               SmoothingConfig(5, 0.1))
+        with pytest.raises(DomainError):
+            noisy_forward(params, adjacency, graph.features)
 
 
 class TestMcCountsPoisoning:

@@ -267,43 +267,44 @@ def _row_record(row: ResultRow) -> list:
             fmt(row.post_accuracy), fmt(row.budget_used), row.status,
             row.reason]
 
-RAW_HEADER = ["seed", "axis", "value", "scheme", "pre_accuracy",
-              "post_accuracy", "budget_used", "status", "reason"]
+HEADERS = {"raw_results": ["seed", "axis", "value", "scheme", "pre_accuracy",
+                           "post_accuracy", "budget_used", "status", "reason"],
+           "timings": ["seed", "value", "scheme", "attack_seconds",
+                       "cert_seconds"]}
 
 
 def _read_existing_rows(path: Path) -> dict:
     """Rows of a previous run that finished, with the timings that the
     timings.csv beside it records; failed cells run again.  A foreign
-    header or a malformed row is a ParameterError naming file and line."""
-    done = {}
-    if not path.exists():
-        return done
-    with open(path, "r", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RAW_HEADER:
-            raise ParameterError(f"{path}:1: not a raw results header")
-        for rec in reader:
-            try:
-                if None in rec or None in rec.values():
-                    raise ValueError(f"expected {len(RAW_HEADER)} fields")
-                if rec["status"] != "ok":
-                    continue
-                row = ResultRow(
-                    int(rec["seed"]), rec["axis"], rec["value"], rec["scheme"],
-                    float(rec["pre_accuracy"]), float(rec["post_accuracy"]),
-                    int(rec["budget_used"]))
-            except ValueError as exc:
-                raise ParameterError(
-                    f"{path}:{reader.line_num}: {exc}") from None
-            done[row.sort_key()] = row
-    timings_path = path.with_name("timings.csv")
-    if timings_path.exists():
-        with open(timings_path, "r", newline="") as fh:
-            for rec in csv.DictReader(fh):
-                row = done.get((int(rec["seed"]), rec["value"], rec["scheme"]))
-                if row is not None:
-                    row.attack_seconds = float(rec["attack_seconds"])
-                    row.cert_seconds = float(rec["cert_seconds"])
+    header or a malformed row in either file is a ParameterError naming
+    file and line."""
+    def records(csv_path, header, parse):
+        if not csv_path.exists():
+            return
+        with open(csv_path, "r", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames != header:
+                raise ParameterError(f"{csv_path}:1: unexpected header")
+            for rec in reader:
+                try:
+                    if None in rec or None in rec.values():
+                        raise ValueError(f"expected {len(header)} fields")
+                    yield parse(rec)
+                except ValueError as exc:
+                    raise ParameterError(
+                        f"{csv_path}:{reader.line_num}: {exc}") from None
+
+    done = {row.sort_key(): row for row in records(
+        path, HEADERS["raw_results"], lambda rec: rec["status"] == "ok" and
+        ResultRow(int(rec["seed"]), rec["axis"], rec["value"], rec["scheme"],
+                  float(rec["pre_accuracy"]), float(rec["post_accuracy"]),
+                  int(rec["budget_used"]))) if row}
+    for key, *seconds in records(path.with_name("timings.csv"),
+                                 HEADERS["timings"], lambda rec: (
+            (int(rec["seed"]), rec["value"], rec["scheme"]),
+            float(rec["attack_seconds"]), float(rec["cert_seconds"]))):
+        if key in done:
+            done[key].attack_seconds, done[key].cert_seconds = seconds
     return done
 
 
@@ -337,12 +338,11 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
         fresh = [run_cell(config, s, v) for s, v in pending]
     rows = list(existing.values()) + fresh
     rows.sort(key=ResultRow.sort_key)
-    _write_csv(raw_path, RAW_HEADER, map(_row_record, rows))
+    _write_csv(raw_path, HEADERS["raw_results"], map(_row_record, rows))
     _write_csv(out_dir / "summary.csv",
                ["value", "scheme", "cells", "failures", "mean_pre", "std_pre",
                 "mean_post", "std_post"], _summary_records(rows))
-    _write_csv(out_dir / "timings.csv",
-               ["seed", "value", "scheme", "attack_seconds", "cert_seconds"],
+    _write_csv(out_dir / "timings.csv", HEADERS["timings"],
                ([row.seed, row.value, row.scheme, f"{row.attack_seconds:.6f}",
                  f"{row.cert_seconds:.6f}"] for row in rows))
     return rows

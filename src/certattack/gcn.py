@@ -7,6 +7,7 @@ deterministic and autograd-free.
 """
 import struct
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -174,12 +175,13 @@ def _loss_rows(logits, labels, kind):
     idx = np.arange(n)
     safe = np.where((labels >= 0) & (labels < C), labels, 0)
     if kind.tag == "cross_entropy":
-        shifted = logits - logits.max(axis=-1, keepdims=True)
+        top = reduce(np.maximum, np.moveaxis(logits, -1, 0))  # exact max
+        shifted = logits - top[..., None]
         expz = np.exp(shifted)
         Z = expz.sum(axis=-1)
         loss = np.log(Z) - shifted[..., idx, safe]
         grad = expz / Z[..., None]
-        grad[..., idx, safe] -= 1.0
+        grad -= safe[:, None] == np.arange(C)  # one-hot; x - 0.0 is x
     else:
         z_true = logits[idx, safe]
         masked = logits.copy()
@@ -192,6 +194,16 @@ def _loss_rows(logits, labels, kind):
         grad[idx[active], best_other[active]] = 1.0
         grad[idx[active], safe[active]] = -1.0
     return loss, grad
+
+
+def _relu_mask(P, Z1):
+    """np.where(Z1 > 0.0, P, 0.0) in P's memory, but a kept -0.0 reads +0.0
+    (GZ1 only enters matmuls) and a masked inf or NaN reads NaN: P = AG2 W2^T
+    has one only when that epoch's loss or gW2 is non-finite under either
+    form, so no divergence epoch, failing model or NumericError moves."""
+    P *= Z1 > 0.0
+    P += 0.0  # a masked negative's -0.0 becomes np.where's +0.0
+    return P
 
 
 def _backward(W1, W2, normalized, X, labels, weights, kind, spare=None):
@@ -209,7 +221,7 @@ def _backward(W1, W2, normalized, X, labels, weights, kind, spare=None):
     G2 = grad_rows * weights[:, None]
     AG2 = Ahat @ G2
     gW2 = np.swapaxes(H1, -1, -2) @ AG2
-    GZ1 = np.where(Z1 > 0.0, AG2 @ np.swapaxes(W2, -1, -2), 0.0)
+    GZ1 = _relu_mask(AG2 @ np.swapaxes(W2, -1, -2), Z1)
     gW1 = X.T @ (Ahat @ GZ1)
     if spare is None:
         return total, gW1, gW2, None

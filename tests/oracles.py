@@ -8,8 +8,10 @@ one-graph-at-a-time Monte Carlo loop of evasion certification.
 
 The attack-step oracles at the end are the straightforward forms of the
 attack kernels (fancy-index scatters and gathers, np.outer terms, a
-full-array bisection, a full argsort); the kernels must match them bit
-for bit.
+full-array bisection, a full argsort), and the training-epoch oracles
+the straightforward forms of the loss and backward kernels (a max
+reduction, a fancy-index label term, an np.where ReLU mask); the kernels
+must match them bit for bit.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -199,7 +201,7 @@ def gradients_outer(params, adjacency, delta_relaxed, features, labels,
     Atil, deg, s, Ahat = gcn._normalize(relax_scatter(A, delta_relaxed))
     XW1 = X @ params.W1
     Z1, H1, HW2, Z2 = gcn._propagate(XW1, params.W2, Ahat)
-    loss_rows, grad_rows = gcn._loss_rows(Z2, np.asarray(labels), kind)
+    loss_rows, grad_rows = loss_rows_reduce(Z2, np.asarray(labels), kind)
     total = loss_rows @ w
     G2 = grad_rows * w[:, None]
     AG2 = Ahat @ G2
@@ -269,3 +271,49 @@ def discretize_masked(relaxed, budget, trials, rng, objective):
         if value > best_value:
             best, best_value = draw, value
     return best
+
+
+def loss_rows_reduce(logits, labels, kind):
+    """gcn._loss_rows with the cross-entropy row max taken by a reduction
+    over the class axis and the label term subtracted through a
+    fancy-index scatter; (n, C) or (B, n, C) logits.  The CW margin is
+    gcn's own."""
+    if kind.tag != "cross_entropy":
+        return gcn._loss_rows(logits, labels, kind)
+    n, C = logits.shape[-2:]
+    idx = np.arange(n)
+    safe = np.where((labels >= 0) & (labels < C), labels, 0)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    expz = np.exp(shifted)
+    Z = expz.sum(axis=-1)
+    loss = np.log(Z) - shifted[..., idx, safe]
+    grad = expz / Z[..., None]
+    grad[..., idx, safe] -= 1.0
+    return loss, grad
+
+
+def backward_where(W1, W2, normalized, X, labels, weights, kind,
+                   spare=None):
+    """gcn._backward with the ReLU mask by np.where, the losses from
+    loss_rows_reduce and the edge gradient in fresh arrays; `spare` only
+    asks for the edge gradient, and no input is written."""
+    Atil, deg, s, Ahat = normalized
+    XW1 = X @ W1
+    Z1, H1, HW2, Z2 = gcn._propagate(XW1, W2, Ahat)
+    loss_rows, grad_rows = loss_rows_reduce(Z2, labels, kind)
+    total = loss_rows @ weights
+    G2 = grad_rows * weights[:, None]
+    AG2 = Ahat @ G2
+    gW2 = np.swapaxes(H1, -1, -2) @ AG2
+    GZ1 = np.where(Z1 > 0.0, AG2 @ np.swapaxes(W2, -1, -2), 0.0)
+    gW1 = X.T @ (Ahat @ GZ1)
+    if spare is None:
+        return total, gW1, gW2, None
+    GA = G2 @ HW2.T + GZ1 @ XW1.T
+    GAt = GA * Atil
+    row_dot = GAt @ s
+    col_dot = GAt.T @ s
+    d32 = deg ** -1.5
+    Gtil = (GA * (s[:, None] * s[None, :]) - (0.5 * (d32 * row_dot))[:, None]
+            - (0.5 * (d32 * col_dot))[None, :])
+    return total, gW1, gW2, Gtil

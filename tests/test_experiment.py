@@ -227,6 +227,24 @@ class TestRunSweep:
         assert main(["sweep", "--config", str(tmp_path / "config.ini"),
                      "--resume"]) == 1
 
+    @pytest.mark.parametrize("line, field, text", [
+        (1, 3, "attack_s"), (2, 3, "fast"), (3, 4, None)],
+        ids=["foreign-header", "seconds", "missing-field"])
+    def test_resume_rejects_malformed_timings(self, tmp_path, line, field,
+                                              text):
+        config = parse_config(write_config(tmp_path, seeds="0,1"))
+        run_sweep(config)
+        path = tmp_path / "out" / "timings.csv"
+        with open(path, newline="") as fh:
+            records = list(csv.reader(fh))
+        records[line - 1][field:field + 1] = [] if text is None else [text]
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(records)
+        with pytest.raises(ParameterError, match=f"timings.csv:{line}:"):
+            run_sweep(config, resume=True)
+        assert main(["sweep", "--config", str(tmp_path / "config.ini"),
+                     "--resume"]) == 1
+
     def test_resume_retries_failed_cells(self, tmp_path):
         config = parse_config(write_config(tmp_path, seeds="0,1"))
         run_sweep(config)

@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certattack import (GCNParams, LossKind, NoiseSpec, ParameterError,
-                        TrainConfig, TrainingError, apply_perturbation,
-                        forward, gradients, init_params, load_params,
-                        mix_seed, normalize_adjacency, num_pairs,
+from certattack import (CROSS_ENTROPY, GCNParams, LossKind, NoiseSpec,
+                        ParameterError, TrainConfig, TrainingError,
+                        apply_perturbation, forward, gradients, init_params,
+                        load_params, mix_seed, normalize_adjacency, num_pairs,
                         param_gradients, predict_all, relax_perturbation,
-                        sample_noise,
-                        save_params, split_nodes, synth_sbm, train,
-                        train_arrays, weighted_logit_loss, weighted_loss)
+                        sample_noise, save_params, split_nodes, synth_sbm,
+                        train, train_arrays, weighted_logit_loss,
+                        weighted_loss)
 from certattack import gcn
-from oracles import central_difference, gradients_outer, node_loss
+from oracles import (backward_where, central_difference, gradients_outer,
+                     loss_rows_reduce, node_loss)
 
 
 class TestNormalize:
@@ -98,6 +99,106 @@ class TestNodeLoss:
                                           kind)
                 assert row == pytest.approx(
                     node_loss(logits[i], labels[i], kind), rel=1e-12)
+
+
+def _assert_same_bits(ours, want):
+    """Byte equality, which, unlike array_equal, tells -0.0 from +0.0 and
+    one NaN from another."""
+    for a, b in zip(ours, want, strict=True):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _hard_logits(rng, shape):
+    """Logits whose rows take turns at being plain, tied, signed zeros,
+    +inf, -inf, NaN and too large for exp without the max shift."""
+    logits = rng.normal(scale=3.0, size=shape)
+    rows = logits.reshape(-1, shape[-1])  # a view: rows write logits
+    rows[1::8] = rows[1::8, :1]  # every class tied
+    rows[2::8, -1] = rows[2::8, 0]  # a tie that may be the max
+    rows[3::8] = rng.choice([0.0, -0.0], size=rows[3::8].shape)
+    rows[4::8, -1] = np.inf
+    rows[5::8, 0] = -np.inf
+    rows[6::8, shape[-1] // 2] = np.nan
+    rows[7::8] *= 400.0
+    return logits
+
+
+class TestEpochKernels:
+    """The training epoch's kernels against their np.where / max-reduction
+    forms in tests/oracles.py, byte for byte."""
+
+    @pytest.mark.parametrize("stack", [(), (3,)], ids=["rows", "stack"])
+    @pytest.mark.parametrize("C", range(2, 8))
+    def test_cross_entropy_rows_match_reduction_form(self, C, stack):
+        rng = np.random.default_rng(C)
+        logits = _hard_logits(rng, stack + (48, C))
+        labels = rng.integers(-1, C, 48)
+        with np.errstate(all="ignore"):
+            _assert_same_bits(gcn._loss_rows(logits, labels, CROSS_ENTROPY),
+                              loss_rows_reduce(logits, labels, CROSS_ENTROPY))
+
+    def test_relu_mask_matches_where(self):
+        rng = np.random.default_rng(5)
+        # a matmul product, as in _backward, with negatives to be masked
+        P = rng.normal(size=(3, 40, 6)) @ rng.normal(size=(6, 5))
+        Z1 = rng.normal(size=P.shape)
+        Z1[..., 0] = 0.0
+        Z1[..., 1] = -0.0
+        Z1[0, :, 2] = np.nan
+        Z1[1, :, 2] = -np.inf
+        Z1[2, :, 2] = np.inf
+        P[:, :, 3] = -0.0  # where Z1 > 0 keeps it, it reads +0.0
+        want = np.where(Z1 > 0.0, P, 0.0)
+        want[:, :, 3] = 0.0
+        assert gcn._relu_mask(P, Z1).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind, stack, edge", [
+        (CROSS_ENTROPY, 3, False), (CROSS_ENTROPY, None, False),
+        (CROSS_ENTROPY, None, True), (LossKind("cw_margin", 0.5), None, False),
+        (LossKind("cw_margin", 0.5), None, True)],
+        ids=["ce-stack", "ce", "ce-edges", "cw", "cw-edges"])
+    def test_backward_matches_where_form(self, kind, stack, edge):
+        g = synth_sbm(30, 3, 0.3, 0.05, 5, seed=2)
+        rng = np.random.default_rng(2)
+        if stack is None:  # the attack's relaxed graph
+            adjacency = relax_perturbation(g.adjacency,
+                                           rng.random(num_pairs(30)) * 0.2)
+        else:  # poisoning certification's noisy graphs
+            adjacency = np.stack([
+                apply_perturbation(g.adjacency,
+                                   sample_noise(NoiseSpec(0.8), 30, 4, j))
+                for j in range(stack)])
+        params = [init_params(5, 6, 3, seed=j) for j in range(stack or 1)]
+        W1 = np.stack([p.W1 for p in params])
+        W2 = np.stack([p.W2 for p in params])
+        W1[..., 0] = 0.0  # a hidden unit at exactly 0: the mask's boundary
+        if stack is None:
+            W1, W2 = W1[0], W2[0]
+        labels = np.where(rng.random(30) < 0.3, -1, g.labels)
+        weights = np.where(labels < 0, 0.0, rng.random(30))
+        spare = np.empty((30, 30)) if edge else None
+        want = backward_where(W1, W2, gcn._normalize(adjacency), g.features,
+                              labels, weights, kind, spare)
+        ours = gcn._backward(W1, W2, gcn._normalize(adjacency), g.features,
+                             labels, weights, kind, spare)
+        _assert_same_bits(ours, want)
+
+    def test_train_arrays_weights_match_where_form(self, monkeypatch):
+        graph = synth_sbm(40, 2, 0.3, 0.05, 6, seed=1)
+        split = split_nodes(graph, (0.3, 0.0, 0.7), seed=0)
+        noisy = np.stack([
+            apply_perturbation(graph.adjacency,
+                               sample_noise(NoiseSpec(0.8), graph.n, 5, j))
+            for j in range(3)])
+        args = (noisy, graph.features, graph.labels, split.train,
+                TrainConfig(epochs=40, learning_rate=0.1), 2, [11, 12, 13])
+        ours = train_arrays(*args)
+        monkeypatch.setattr(gcn, "_backward", backward_where)
+        want = train_arrays(*args)
+        _assert_same_bits([p.W1 for p in ours] + [p.W2 for p in ours],
+                          [p.W1 for p in want] + [p.W2 for p in want])
 
 
 def _fd_check(graph, params, delta, weights, mask, kind, step=1e-4):
@@ -205,8 +306,7 @@ class TestGradients:
                          w, mask, kind)
         oracle = gradients_outer(params, g.adjacency, delta, g.features,
                                  g.labels, w, mask, kind)
-        for a, b in zip(ours, oracle):
-            assert np.array_equal(a, b)
+        _assert_same_bits(ours, oracle)
 
 
 class TestEdgeWorkspace:

@@ -11,27 +11,26 @@ from .attacks import (AttackConfig, AttackReport, WeightScheme, discretize,
                       minmax_poisoning, node_weights, pgd_evasion,
                       project_budget, read_delta_edges, top_delta_binary,
                       write_delta_edges, write_report_csv)
-from .errors import (CapacityError, CertAttackError, CertificationError,
-                     DimensionError, DomainError, GraphLoadError,
-                     NumericError, ParameterError, TrainingError)
+from .errors import (CertAttackError, CertificationError, DimensionError,
+                     DomainError, GraphLoadError, NumericError,
+                     ParameterError, TrainingError)
 from .gcn import (CROSS_ENTROPY, EdgeWorkspace, GCNParams, LossKind,
                   TrainConfig, forward, gradients, init_params, load_params,
-                  noisy_forward, normalize_adjacency, param_gradients,
-                  predict_all, save_params, train, train_arrays,
-                  weighted_logit_loss, weighted_loss)
+                  noisy_forward, param_gradients, predict_all, save_params,
+                  train, train_arrays, weighted_logit_loss)
 from .graph import (DataSplit, Graph, classification_accuracy, load_graph,
                     split_nodes, synth_sbm)
 from .experiment import (DatasetConfig, ExperimentConfig, ResultRow,
-                         build_dataset, low_size_fraction, parse_config,
-                         prepare_cell, report_distribution, run_attack,
-                         run_sweep, runtime_profile)
+                         build_dataset, parse_config, prepare_cell,
+                         report_distribution, run_attack, run_sweep,
+                         runtime_profile)
 from .perturb import (Perturbation, apply_perturbation, num_pairs,
                       relax_perturbation, triu_pairs)
 from .smoothing import (Certificate, NoiseSpec, SmoothingConfig,
                         certificates_from_counts, certified_size,
-                        certify_nodes, exact_smoothed_probs, lower_bound_prob,
-                        mc_counts_evasion, mc_counts_poisoning, mix_seed,
-                        noise_flips, sample_noise, worst_case_retained,
+                        certify_nodes, lower_bound_prob, mc_counts_evasion,
+                        mc_counts_poisoning, mix_seed, noise_flips,
+                        sample_noise, worst_case_retained,
                         write_certificates_csv)
 
 __version__ = "0.1.0"

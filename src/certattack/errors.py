@@ -36,7 +36,3 @@ class TrainingError(CertAttackError):
 
 class CertificationError(CertAttackError):
     """A smoothing replicate failed or a certification assumption broke."""
-
-
-class CapacityError(CertAttackError):
-    """An exact enumeration was requested above its size cap."""

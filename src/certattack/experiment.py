@@ -398,16 +398,6 @@ def report_distribution(delta_binary: np.ndarray,
     return dict(histogram)
 
 
-def low_size_fraction(histogram: dict) -> float:
-    """Fraction of mapped histogram entries with certified size <= 1."""
-    mapped = {k: v for k, v in histogram.items() if k != "none"}
-    total = sum(mapped.values())
-    if total == 0:
-        return 0.0
-    low = sum(v for k, v in mapped.items() if k <= 1)
-    return low / total
-
-
 def runtime_profile(config: ExperimentConfig, sample_counts: list[int],
                     path=None) -> list[tuple]:
     """Attack and certification wall time per Monte Carlo sample count,

@@ -98,15 +98,6 @@ def _scale(Atil, out=None):
     return Atil, deg, s, np.multiply(Atil, Ahat, out=Ahat)
 
 
-def normalize_adjacency(adjacency_real: np.ndarray) -> np.ndarray:
-    """Symmetric degree normalization with self-loops.
-
-    Returns D^{-1/2} (A + I) D^{-1/2} where D is the degree diagonal of
-    A + I; accepts real-valued (relaxed) adjacency matrices.
-    """
-    return _normalize(adjacency_real)[3]
-
-
 def _propagate(XW1, W2, Ahat):
     Z1 = Ahat @ XW1
     H1 = np.maximum(Z1, 0.0)
@@ -127,7 +118,7 @@ def _logits(XW1, W2, Ahat):
 def forward(params: GCNParams, adjacency_real: np.ndarray,
             features: np.ndarray) -> np.ndarray:
     """Logits = Ahat relu(Ahat X W1) W2 for all nodes."""
-    Ahat = normalize_adjacency(adjacency_real)
+    Ahat = _normalize(adjacency_real)[3]
     return _logits(np.asarray(features, dtype=np.float64) @ params.W1,
                    params.W2, Ahat)
 
@@ -138,16 +129,22 @@ def predict_all(params: GCNParams, adjacency: np.ndarray,
     return np.argmax(forward(params, adjacency, features), axis=1)
 
 
+def _binary_symmetric(adjacency):
+    """The adjacency as an array, checked to be a symmetric 0/1 matrix."""
+    A = np.asarray(adjacency)
+    if (A.ndim != 2 or A.shape != A.T.shape or (A != A.T).any()
+            or not ((A == 0) | (A == 1)).all()):
+        raise DomainError("adjacency must be a symmetric 0/1 matrix")
+    return A
+
+
 def noisy_forward(params: GCNParams, adjacency: np.ndarray,
                   features: np.ndarray):
     """logits_on(pairs) -> forward's logits on A xor pairs, for pair indices
     in triu_pairs order; A must be symmetric and 0/1.  One float A + I takes
     1 - v at the flipped pairs while Ahat is built and v again after, so the
     float operations are forward's on the XOR-ed copy; X W1 is made once."""
-    A = np.asarray(adjacency)
-    if (A.ndim != 2 or A.shape != A.T.shape or (A != A.T).any()
-            or not ((A == 0) | (A == 1)).all()):
-        raise DomainError("adjacency must be a symmetric 0/1 matrix")
+    A = _binary_symmetric(adjacency)
     n = A.shape[0]
     Atil = _normalize(A)[0]  # the clean Ahat it also builds goes unused
     flat = Atil.reshape(-1)
@@ -237,15 +234,6 @@ def _backward(W1, W2, normalized, X, labels, weights, kind, spare=None):
     return total, gW1, gW2, GA
 
 
-def weighted_loss(params: GCNParams, adjacency_real: np.ndarray,
-                  features: np.ndarray, labels: np.ndarray,
-                  node_weights: np.ndarray, mask: np.ndarray,
-                  kind: LossKind = CROSS_ENTROPY) -> float:
-    """Sum over masked nodes of weight(u) * loss(u) at forward's logits."""
-    return weighted_logit_loss(forward(params, adjacency_real, features),
-                               labels, node_weights, mask, kind)
-
-
 def weighted_logit_loss(logits: np.ndarray, labels: np.ndarray,
                         node_weights: np.ndarray, mask: np.ndarray,
                         kind: LossKind = CROSS_ENTROPY) -> float:
@@ -282,12 +270,13 @@ def param_gradients(params: GCNParams, adjacency_real: np.ndarray,
 
 
 class EdgeWorkspace:
-    """gradients()' state on one adjacency: the factor 1 - 2A per pair and
-    three (n, n) float buffers that each call overwrites.  An attack keeps
-    one for all its PGD steps, so no step allocates an n x n array."""
+    """gradients()' state on one adjacency, which must be symmetric and 0/1:
+    the factor 1 - 2A per pair and three (n, n) float buffers that each
+    call overwrites.  An attack keeps one for all its PGD steps, so no step
+    allocates an n x n array."""
 
     def __init__(self, adjacency):
-        self.adjacency = np.asarray(adjacency)
+        self.adjacency = _binary_symmetric(adjacency)
         n = self.adjacency.shape[0]
         self.sign = 1.0 - 2.0 * self.adjacency[triu_mask(n)].astype(float)
         self.buffers = np.empty((3, n, n))
@@ -353,7 +342,7 @@ def train_arrays(adjacency_real: np.ndarray, features: np.ndarray,
     the epoch at which it fails alone and its index as `model`; the
     stack stops early only when model 0 diverges.
     """
-    A = np.asarray(adjacency_real, dtype=np.float64)
+    A = np.asarray(adjacency_real)
     if A.ndim != 3 or len(seeds) != A.shape[0]:
         raise ParameterError("train on a (B, n, n) stack with B seeds")
     X = np.asarray(features, dtype=np.float64)

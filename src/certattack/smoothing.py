@@ -21,15 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaincinv, gammaln
 
-from .errors import (CapacityError, CertificationError, GraphLoadError,
-                     ParameterError, TrainingError)
+from .errors import (CertificationError, GraphLoadError, ParameterError,
+                     TrainingError)
 from .gcn import (GCNParams, TrainConfig, noisy_forward, predict_all,
                   train_arrays)
 from .perturb import apply_perturbation, num_pairs
 
 DEFAULT_RADIUS_CAP = 2000
-
-EXACT_PAIRS_CAP = 20
 
 # Poisoning replicates train in lockstep blocks of about this many
 # adjacency entries: STACK_ENTRIES // n**2 replicates, 10 at n = 100.
@@ -235,30 +233,6 @@ def certified_size(p_lower: float, spec: NoiseSpec,
         prev_rho = rho
     warnings.warn(f"certified size saturated at the scan cap {r_max}")
     return r_max
-
-
-def exact_smoothed_probs(params: GCNParams, adjacency: np.ndarray,
-                         features: np.ndarray, spec: NoiseSpec) -> np.ndarray:
-    """Exact smoothed label distribution for every node by enumerating all
-    2^m noise masks; only feasible for m <= EXACT_PAIRS_CAP."""
-    n = adjacency.shape[0]
-    m = num_pairs(n)
-    if m > EXACT_PAIRS_CAP:
-        raise CapacityError(f"exact enumeration needs 2^{m} masks; cap is "
-                            f"2^{EXACT_PAIRS_CAP}")
-    probs = np.zeros((n, params.num_classes))
-    bits = np.arange(m)
-    node_idx = np.arange(n)
-    for code in range(1 << m):
-        mask = ((code >> bits) & 1).astype(np.int8)
-        flips = int(mask.sum())
-        weight = (1.0 - spec.beta) ** flips * spec.beta ** (m - flips)
-        if weight == 0.0:
-            continue
-        preds = predict_all(params, apply_perturbation(adjacency, mask),
-                            features)
-        probs[node_idx, preds] += weight
-    return probs
 
 
 def certificates_from_counts(counts: np.ndarray, target_nodes: np.ndarray,

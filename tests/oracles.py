@@ -2,9 +2,16 @@
 
 Everything here deliberately avoids the production code paths it checks:
 exact rational arithmetic for the Neyman-Pearson worst case, breakpoint
-scanning for the capped-box projection, brute-force enumeration for
-certified sizes, a dense XOR for edge flips, a one-node loss, and the
-one-graph-at-a-time Monte Carlo loop of evasion certification.
+scanning for the capped-box projection, the exact smoothed distribution
+by enumerating all 2^m noise masks and brute-force enumeration for
+certified sizes on top of it, a dense XOR for edge flips, a one-node
+loss, and the one-graph-at-a-time Monte Carlo loop of evasion
+certification.
+
+The criterion helpers measure what the acceptance criteria compare:
+the weighted loss at forward's logits, whose central differences check
+the analytic gradients (criterion 4), and the fraction of perturbed
+edges at certified size <= 1 (criterion 8).
 
 The attack-step oracles at the end are the straightforward forms of the
 attack kernels (fancy-index scatters and gathers, np.outer terms, a
@@ -19,9 +26,11 @@ from math import comb
 
 import numpy as np
 
-from certattack import (NumericError, apply_perturbation,
-                        exact_smoothed_probs, gcn, num_pairs, predict_all,
-                        sample_noise)
+from certattack import (CROSS_ENTROPY, NumericError, apply_perturbation,
+                        forward, gcn, num_pairs, predict_all, sample_noise,
+                        weighted_logit_loss)
+
+EXACT_PAIRS_CAP = 20
 
 
 def np_regions(beta: Fraction, radius: int):
@@ -121,6 +130,46 @@ def central_difference(fn, x0: np.ndarray, step: float = 1e-4) -> np.ndarray:
         minus.flat[i] -= step
         grad.flat[i] = (fn(plus) - fn(minus)) / (2.0 * step)
     return grad
+
+
+def weighted_loss(params, adjacency_real, features, labels, node_weights,
+                  mask, kind=CROSS_ENTROPY) -> float:
+    """Sum over masked nodes of weight(u) * loss(u) at forward's logits."""
+    return weighted_logit_loss(forward(params, adjacency_real, features),
+                               labels, node_weights, mask, kind)
+
+
+def low_size_fraction(histogram: dict) -> float:
+    """Fraction of mapped histogram entries with certified size <= 1."""
+    mapped = {k: v for k, v in histogram.items() if k != "none"}
+    total = sum(mapped.values())
+    if total == 0:
+        return 0.0
+    low = sum(v for k, v in mapped.items() if k <= 1)
+    return low / total
+
+
+def exact_smoothed_probs(params, adjacency, features, spec) -> np.ndarray:
+    """Exact smoothed label distribution for every node by enumerating all
+    2^m noise masks; only feasible for m <= EXACT_PAIRS_CAP."""
+    n = adjacency.shape[0]
+    m = num_pairs(n)
+    if m > EXACT_PAIRS_CAP:
+        raise ValueError(f"exact enumeration needs 2^{m} masks; cap is "
+                         f"2^{EXACT_PAIRS_CAP}")
+    probs = np.zeros((n, params.num_classes))
+    bits = np.arange(m)
+    node_idx = np.arange(n)
+    for code in range(1 << m):
+        mask = ((code >> bits) & 1).astype(np.int8)
+        flips = int(mask.sum())
+        weight = (1.0 - spec.beta) ** flips * spec.beta ** (m - flips)
+        if weight == 0.0:
+            continue
+        preds = predict_all(params, apply_perturbation(adjacency, mask),
+                            features)
+        probs[node_idx, preds] += weight
+    return probs
 
 
 def brute_force_certified_size(params, adjacency, features, node, label,

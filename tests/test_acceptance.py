@@ -15,15 +15,16 @@ import pytest
 
 from certattack import (AttackConfig, GCNParams, LossKind, NoiseSpec,
                         SmoothingConfig, TrainConfig, WeightScheme,
-                        certified_size, certify_nodes, exact_smoothed_probs,
-                        gradients, lower_bound_prob, low_size_fraction,
-                        minmax_poisoning, mix_seed, num_pairs, parse_config,
-                        pgd_evasion, project_budget, relax_perturbation,
-                        report_distribution, run_sweep, runtime_profile,
-                        split_nodes, synth_sbm, train, weighted_loss,
+                        certified_size, certify_nodes, gradients,
+                        lower_bound_prob, minmax_poisoning, mix_seed,
+                        num_pairs, parse_config, pgd_evasion, project_budget,
+                        relax_perturbation, report_distribution, run_sweep,
+                        runtime_profile, split_nodes, synth_sbm, train,
                         worst_case_retained)
 from oracles import (brute_force_certified_size, central_difference,
-                     project_capped_box_exact, worst_case_retained_exact)
+                     exact_smoothed_probs, low_size_fraction,
+                     project_capped_box_exact, weighted_loss,
+                     worst_case_retained_exact)
 from test_experiment import write_config
 
 

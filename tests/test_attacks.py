@@ -12,14 +12,13 @@ from certattack import (AttackConfig, Certificate, LossKind, NoiseSpec,
                         eigenvector_centrality, evaluate_attack, forward,
                         gradients, init_params, minmax_poisoning,
                         node_weights, pgd_evasion, project_budget,
-                        split_nodes, synth_sbm, top_delta_binary, train,
-                        weighted_loss)
+                        split_nodes, synth_sbm, top_delta_binary, train)
 from certattack import attacks, smoothing
 from certattack.graph import DataSplit, Graph
 from oracles import (discretize_masked, gradients_outer,
                      mc_counts_evasion_loop, node_loss, project_bisect_full,
                      project_capped_box_exact, relax_scatter,
-                     top_budget_argsort)
+                     top_budget_argsort, weighted_loss)
 
 
 def make_certs(nodes, sizes):
@@ -95,7 +94,7 @@ class TestNodeWeights:
 
 
 class TestCrLoss:
-    """The paper's CR loss is gcn.weighted_loss: sum of w(u) * loss(u)."""
+    """The paper's CR loss is weighted_loss: sum of w(u) * loss(u)."""
 
     def test_uniform_weights_reduce_to_plain_sum(self, sbm_setup):
         graph, split, params = sbm_setup

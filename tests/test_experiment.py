@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from certattack import (Certificate, NoiseSpec, ParameterError,
-                        build_dataset, low_size_fraction, parse_config,
-                        prepare_cell, report_distribution, run_sweep,
-                        runtime_profile)
+                        build_dataset, parse_config, prepare_cell,
+                        report_distribution, run_sweep, runtime_profile)
 from certattack import experiment
 from certattack.cli import main
 from certattack.experiment import (SWEEP_AXES, DatasetConfig,
                                    ExperimentConfig, run_cell)
+from oracles import low_size_fraction
 
 BASE_CONFIG = """
 [dataset]

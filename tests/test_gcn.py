@@ -5,33 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certattack import (CROSS_ENTROPY, GCNParams, LossKind, NoiseSpec,
-                        ParameterError, TrainConfig, TrainingError,
+from certattack import (CROSS_ENTROPY, DomainError, GCNParams, LossKind,
+                        NoiseSpec, ParameterError, TrainConfig, TrainingError,
                         apply_perturbation, forward, gradients, init_params,
-                        load_params, mix_seed, normalize_adjacency, num_pairs,
-                        param_gradients, predict_all, relax_perturbation,
-                        sample_noise, save_params, split_nodes, synth_sbm,
-                        train, train_arrays, weighted_logit_loss,
-                        weighted_loss)
+                        load_params, mix_seed, num_pairs, param_gradients,
+                        predict_all, relax_perturbation, sample_noise,
+                        save_params, split_nodes, synth_sbm, train,
+                        train_arrays, weighted_logit_loss)
 from certattack import gcn
 from oracles import (backward_where, central_difference, gradients_outer,
-                     loss_rows_reduce, node_loss)
+                     loss_rows_reduce, node_loss, weighted_loss)
 
 
 class TestNormalize:
     def test_isolated_nodes_become_identity(self):
-        out = normalize_adjacency(np.zeros((2, 2)))
+        out = gcn._normalize(np.zeros((2, 2)))[3]
         assert np.allclose(out, np.eye(2))
 
     def test_complete_pair(self):
         adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(normalize_adjacency(adj), np.full((2, 2), 0.5))
+        assert np.allclose(gcn._normalize(adj)[3], np.full((2, 2), 0.5))
 
     def test_matches_scalar_formula(self):
         rng = np.random.default_rng(5)
         upper = np.triu(rng.random((5, 5)), k=1)
         adj = upper + upper.T
-        out = normalize_adjacency(adj)
+        out = gcn._normalize(adj)[3]
         atil = adj + np.eye(5)
         deg = atil.sum(axis=1)
         for i in range(5):
@@ -352,6 +351,18 @@ class TestEdgeWorkspace:
             for want in (gradients(*args), gradients_outer(*args)):
                 for a, b in zip(reused, want, strict=True):
                     assert np.array_equal(a, b)
+
+    def test_asymmetric_adjacency_rejected(self):
+        # the factor 1 - 2A comes from the upper triangle and the edge
+        # gradient sums the mirrored pairs, so an asymmetric A would get a
+        # wrong gradient back instead of an error
+        g = synth_sbm(8, 2, 0.5, 0.2, 4, seed=3)
+        adjacency = g.adjacency.copy()
+        adjacency[0, 1] = 1 - adjacency[1, 0]
+        with pytest.raises(DomainError):
+            gradients(init_params(4, 3, 2, seed=3), adjacency,
+                      np.zeros(num_pairs(8)), g.features, g.labels,
+                      np.ones(8), np.arange(8))
 
     def test_workspace_of_another_adjacency_rejected(self, tiny_graph):
         work = gcn.EdgeWorkspace(tiny_graph.adjacency.copy())

@@ -11,18 +11,19 @@ import numpy as np
 import pytest
 
 import certattack
-from certattack import (CapacityError, CertificationError, DomainError,
-                        NoiseSpec, ParameterError, SmoothingConfig,
-                        TrainConfig, TrainingError, apply_perturbation,
+from certattack import (CertificationError, DomainError, NoiseSpec,
+                        ParameterError, SmoothingConfig, TrainConfig,
+                        TrainingError, apply_perturbation,
                         certificates_from_counts, certified_size,
-                        certify_nodes, exact_smoothed_probs, forward,
-                        init_params, lower_bound_prob, mc_counts_evasion,
+                        certify_nodes, forward, init_params,
+                        lower_bound_prob, mc_counts_evasion,
                         mc_counts_poisoning, mix_seed, noise_flips,
                         noisy_forward, num_pairs, predict_all,
                         sample_noise, split_nodes, synth_sbm, train,
                         worst_case_retained, write_certificates_csv)
 from certattack import smoothing
-from oracles import mc_counts_evasion_loop, worst_case_retained_exact
+from oracles import (exact_smoothed_probs, mc_counts_evasion_loop,
+                     worst_case_retained_exact)
 
 
 class TestSampleNoise:
@@ -410,7 +411,7 @@ class TestExactSmoothedProb:
     def test_capacity_cap(self):
         graph = synth_sbm(10, 2, 0.5, 0.1, 4, seed=0)  # m = 45 > 20
         params = init_params(4, 3, 2, seed=0)
-        with pytest.raises(CapacityError):
+        with pytest.raises(ValueError):
             exact_smoothed_probs(params, graph.adjacency, graph.features,
                                  NoiseSpec(0.9))
 

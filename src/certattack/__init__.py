@@ -6,8 +6,8 @@ models), converts certified perturbation sizes into node weights, and runs
 weighted PGD evasion and Minmax poisoning attacks under an edge-flip
 budget, with sweep/reporting plumbing on top.
 """
-from .attacks import (AttackConfig, AttackReport, WeightScheme, discretize,
-                      eigenvector_centrality, evaluate_attack,
+from .attacks import (AttackConfig, AttackReport, WeightScheme, certifier,
+                      discretize, eigenvector_centrality, evaluate_attack,
                       minmax_poisoning, node_weights, pgd_evasion,
                       project_budget, read_delta_edges, top_delta_binary,
                       write_delta_edges, write_report_csv)
@@ -28,7 +28,7 @@ from .perturb import (Perturbation, apply_perturbation, num_pairs,
                       relax_perturbation, triu_pairs)
 from .smoothing import (Certificate, NoiseSpec, SmoothingConfig,
                         certificates_from_counts, certified_size,
-                        certify_nodes, lower_bound_prob, mc_counts_evasion,
+                        lower_bound_prob, mc_counts_evasion,
                         mc_counts_poisoning, mix_seed, noise_flips,
                         sample_noise, worst_case_retained,
                         write_certificates_csv)

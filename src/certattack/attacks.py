@@ -217,20 +217,65 @@ def discretize(relaxed: np.ndarray, budget: int, trials: int,
     return best
 
 
-def _attack_loop(graph: Graph, split: DataSplit, targets: np.ndarray,
-                 labels: np.ndarray, model: GCNParams, config: AttackConfig,
-                 certify, model_on, model_step=None,
-                 record_trajectory: bool = False) -> AttackReport:
+def certifier(mode: str, graph: Graph, split: DataSplit,
+              train_config: TrainConfig | None, config: AttackConfig,
+              params: GCNParams | None = None):
+    """(targets, labels, certify) of a threat model: certify(adjacency) ->
+    the targets' certificates on that graph, for the attack's refreshes
+    and for `certattack certify` alike.
+
+    Evasion certifies the fixed model params on the test nodes with flip
+    lists drawn at the first call and kept while they fit in FLIP_BYTES.
+    Poisoning certifies the train nodes with replicates trained on labels
+    set to -1 outside the train mask; only it reads train_config.
+    """
+    if mode == "evasion":
+        targets, labels = split.test, graph.labels
+
+        @functools.cache
+        def flips():
+            return noise_flips(config.noise, graph.n, config.smoothing)
+
+        def counts(adjacency):
+            return mc_counts_evasion(params, adjacency, graph.features,
+                                     targets, config.noise, config.smoothing,
+                                     flips())
+    elif mode == "poisoning":
+        targets = split.train
+        labels = np.where(np.isin(np.arange(graph.n), targets),
+                          graph.labels, -1)
+
+        def counts(adjacency):
+            return mc_counts_poisoning(adjacency, graph.features, labels,
+                                       targets, train_config, targets,
+                                       config.noise, config.smoothing,
+                                       graph.num_classes)
+    else:
+        raise ParameterError(f"unknown certification mode {mode!r}")
+
+    def certify(adjacency):
+        return certificates_from_counts(counts(adjacency), targets, labels,
+                                        config.noise, config.smoothing)
+
+    return targets, labels, certify
+
+
+def _attack_loop(graph: Graph, split: DataSplit, certification,
+                 model: GCNParams, config: AttackConfig, model_on,
+                 model_step=None, record_trajectory: bool = False
+                 ) -> AttackReport:
     """Weighted projected-gradient ascent on the relaxed perturbation.
 
-    The certified scheme refreshes its weights every refresh_interval
-    iterations from certify(snapshot) -> label counts on the binarized
-    snapshot of the current perturbation; other schemes compute their
-    weights once.  model_step(model, delta, w_full) -> model, when given,
-    runs before each ascent step.  The discretized perturbation is scored
-    by evaluate_attack with model_on(adjacency) -> the model to test.
+    certification is certifier's (targets, labels, certify).  The
+    certified scheme refreshes its weights every refresh_interval
+    iterations from certify(snapshot) on the binarized snapshot of the
+    current perturbation; other schemes compute their weights once.
+    model_step(model, delta, w_full) -> model, when given, runs before
+    each ascent step.  The discretized perturbation is scored by
+    evaluate_attack with model_on(adjacency) -> the model to test.
     """
     start = time.perf_counter()
+    targets, labels, certify = certification
     A = graph.adjacency
     delta = np.zeros(graph.num_pairs)
     losses = np.zeros(config.iterations)
@@ -246,11 +291,8 @@ def _attack_loop(graph: Graph, split: DataSplit, targets: np.ndarray,
             certs = None
             if certified:
                 tick = time.perf_counter()
-                snapshot = apply_perturbation(
-                    A, top_delta_binary(delta, config.budget))
-                certs = certificates_from_counts(certify(snapshot), targets,
-                                                 labels, config.noise,
-                                                 config.smoothing)
+                certs = certify(apply_perturbation(
+                    A, top_delta_binary(delta, config.budget)))
                 cert_seconds += time.perf_counter() - tick
             w_targets = node_weights(config.scheme, certs, graph, targets)
             w_full[targets] = w_targets
@@ -294,21 +336,11 @@ def pgd_evasion(params: GCNParams, graph: Graph, split: DataSplit,
     """Projected-gradient evasion attack on the fixed trained model, which
     the certified scheme recertifies on each snapshot (see _attack_loop);
     the uniform scheme is exactly the plain PGD base attack."""
-    targets = split.test
-    if targets.size == 0:
+    if split.test.size == 0:
         raise ParameterError("evasion attack needs a non-empty test mask")
-
-    @functools.cache
-    def flips():  # drawn at the first refresh, then kept for this attack
-        return noise_flips(config.noise, graph.n, config.smoothing)
-
-    def certify(snapshot):
-        return mc_counts_evasion(params, snapshot, graph.features, targets,
-                                 config.noise, config.smoothing, flips())
-
-    return _attack_loop(graph, split, targets, graph.labels, params, config,
-                        certify, lambda _: params,
-                        record_trajectory=record_trajectory)
+    certification = certifier("evasion", graph, split, None, config, params)
+    return _attack_loop(graph, split, certification, params, config,
+                        lambda _: params, record_trajectory=record_trajectory)
 
 
 def minmax_poisoning(graph: Graph, split: DataSplit,
@@ -320,17 +352,11 @@ def minmax_poisoning(graph: Graph, split: DataSplit,
     training classifiers on noisy copies of each snapshot.  Labels outside
     the train mask are masked out, so the attack is blind to test labels;
     the reported accuracies come from a separate clean retraining."""
-    targets = split.train
-    labels_masked = np.where(np.isin(np.arange(graph.n), targets),
-                             graph.labels, -1)
+    certification = certifier("poisoning", graph, split, train_config,
+                              config)
+    targets, labels_masked, _ = certification
     theta = init_params(graph.features.shape[1], train_config.hidden_dim,
                         graph.num_classes, mix_seed(config.seed, 0x7E7A))
-
-    def certify(snapshot):
-        return mc_counts_poisoning(snapshot, graph.features, labels_masked,
-                                   targets, train_config, targets,
-                                   config.noise, config.smoothing,
-                                   graph.num_classes)
 
     def model_step(theta, delta, w_full):
         relaxed_adj = relax_perturbation(graph.adjacency, delta)
@@ -341,8 +367,8 @@ def minmax_poisoning(graph: Graph, split: DataSplit,
                          theta.W2 - config.inner_step_size * gW2)
 
     retrain = functools.partial(train, graph, split, config=train_config)
-    return _attack_loop(graph, split, targets, labels_masked, theta, config,
-                        certify, retrain, model_step=model_step,
+    return _attack_loop(graph, split, certification, theta, config, retrain,
+                        model_step=model_step,
                         record_trajectory=record_trajectory)
 
 

@@ -7,15 +7,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .attacks import read_delta_edges, write_delta_edges, write_report_csv
+from .attacks import (certifier, read_delta_edges, write_delta_edges,
+                      write_report_csv)
 from .errors import CertAttackError, GraphLoadError, ParameterError
 from .experiment import (parse_config, parse_key, prepare_cell,
                          report_distribution, run_attack, run_sweep,
                          runtime_profile)
 from .gcn import load_params, predict_all, save_params, train
 from .graph import classification_accuracy
-from .smoothing import (certify_nodes, read_certificates_csv,
-                        write_certificates_csv)
+from .smoothing import read_certificates_csv, write_certificates_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -114,12 +114,10 @@ def cmd_certify(args) -> int:
                 f"{params.W2.shape} do not fit {d} features and {C} classes")
     elif evasion:
         params = train(graph, split, graph.adjacency, train_config)
-    certs = certify_nodes(
-        config.mode, target_nodes=split.test if evasion else split.train,
-        labels=graph.labels, spec=attack.noise, config=attack.smoothing,
-        adjacency=graph.adjacency, features=graph.features, params=params,
-        train_idx=split.train, train_config=train_config,
-        num_classes=graph.num_classes)
+    # the certificates of the attack's first refresh, on the clean graph
+    _, _, certify = certifier(config.mode, graph, split, train_config,
+                              attack, params)
+    certs = certify(graph.adjacency)
     path = _output(config.out_dir, "certificates.csv")
     write_certificates_csv(certs, attack.noise, attack.smoothing, path)
     certified = sum(1 for c in certs if c.certified_size > 0)

@@ -8,6 +8,7 @@ is byte-identical across reruns of the same config.
 """
 import configparser
 import csv
+import math
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -70,12 +71,16 @@ MODE_DEFAULTS = {"poisoning": {"iterations": 10, "refresh_interval": 2,
 
 def parse_key(section: str, key: str, raw: str):
     """The value of one config key parsed from its text; an unknown key or
-    a malformed value is a ParameterError."""
+    a malformed value, a NaN or infinite float among them, is a
+    ParameterError."""
     parse = KEYS[section].get(key)
     if parse is None:
         raise ParameterError(f"unknown key {key!r} in section [{section}]")
     try:
-        return parse(raw.strip())
+        value = parse(raw.strip())
+        if parse is float and not math.isfinite(value):
+            raise ValueError
+        return value
     except ValueError:
         raise ParameterError(f"bad value for {key}: {raw!r}") from None
 

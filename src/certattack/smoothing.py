@@ -33,8 +33,8 @@ DEFAULT_RADIUS_CAP = 2000
 # adjacency entries: STACK_ENTRIES // n**2 replicates, 10 at n = 100.
 STACK_ENTRIES = 100_000
 
-# Evasion attacks keep their flip lists, (1 - beta) * m * N int32 entries
-# expected (0.5 MB at n=100, beta=0.95, N=500), up to this many bytes.
+# An evasion certifier keeps its flip lists, (1 - beta) * m * N int32
+# entries (0.5 MB expected at n=100, beta=0.95, N=500), up to this many bytes.
 FLIP_BYTES = 16 * 2 ** 20
 
 
@@ -256,37 +256,6 @@ def certificates_from_counts(counts: np.ndarray, target_nodes: np.ndarray,
         certs.append(Certificate(int(node), true_label, row.copy(), smoothed,
                                  p_low, size, size == DEFAULT_RADIUS_CAP))
     return certs
-
-
-def certify_nodes(mode: str, *, target_nodes, labels, spec: NoiseSpec,
-                  config: SmoothingConfig, adjacency=None, features=None,
-                  params: GCNParams | None = None,
-                  train_idx=None, train_config: TrainConfig | None = None,
-                  num_classes: int | None = None) -> list[Certificate]:
-    """Monte Carlo certification of the targets under evasion or poisoning.
-
-    Per node: counts -> smoothed label (argmax, ties to the lowest class)
-    -> Clopper-Pearson lower bound for the true label -> certified size,
-    which is zero unless the smoothed label is correct and the bound
-    exceeds 1/2.
-    """
-    if mode == "evasion":
-        if params is None:
-            raise ParameterError("evasion certification needs trained params")
-        counts = mc_counts_evasion(params, adjacency, features, target_nodes,
-                                   spec, config)
-    elif mode == "poisoning":
-        if train_config is None or train_idx is None or num_classes is None:
-            raise ParameterError(
-                "poisoning certification needs train_idx, train_config and "
-                "num_classes")
-        counts = mc_counts_poisoning(adjacency, features, labels, train_idx,
-                                     train_config, target_nodes, spec, config,
-                                     num_classes)
-    else:
-        raise ParameterError(f"unknown certification mode {mode!r}")
-    return certificates_from_counts(counts, target_nodes, labels, spec,
-                                    config)
 
 
 def write_certificates_csv(certs: list[Certificate], spec: NoiseSpec,

@@ -6,7 +6,9 @@ scanning for the capped-box projection, the exact smoothed distribution
 by enumerating all 2^m noise masks and brute-force enumeration for
 certified sizes on top of it, a dense XOR for edge flips, a one-node
 loss, and the one-graph-at-a-time Monte Carlo loop of evasion
-certification.
+certification.  certify_nodes is the keyword-API certification of
+either threat model: it takes its targets, labels and samples as given,
+where the package's attacks.certifier picks them from the split.
 
 The criterion helpers measure what the acceptance criteria compare:
 the weighted loss at forward's logits, whose central differences check
@@ -26,9 +28,12 @@ from math import comb
 
 import numpy as np
 
-from certattack import (CROSS_ENTROPY, NumericError, apply_perturbation,
-                        forward, gcn, num_pairs, predict_all, sample_noise,
-                        weighted_logit_loss)
+from certattack import (CROSS_ENTROPY, Certificate, GCNParams, NoiseSpec,
+                        NumericError, ParameterError, SmoothingConfig,
+                        TrainConfig, apply_perturbation,
+                        certificates_from_counts, forward, gcn,
+                        mc_counts_evasion, mc_counts_poisoning, num_pairs,
+                        predict_all, sample_noise, weighted_logit_loss)
 
 EXACT_PAIRS_CAP = 20
 
@@ -221,6 +226,37 @@ def mc_counts_evasion_loop(params, adjacency, features, target_nodes, spec,
         preds = predict_all(params, noisy, features)
         counts[np.arange(targets.size), preds[targets]] += 1
     return counts
+
+
+def certify_nodes(mode: str, *, target_nodes, labels, spec: NoiseSpec,
+                  config: SmoothingConfig, adjacency=None, features=None,
+                  params: GCNParams | None = None,
+                  train_idx=None, train_config: TrainConfig | None = None,
+                  num_classes: int | None = None) -> list[Certificate]:
+    """Monte Carlo certification of the targets under evasion or poisoning.
+
+    Per node: counts -> smoothed label (argmax, ties to the lowest class)
+    -> Clopper-Pearson lower bound for the true label -> certified size,
+    which is zero unless the smoothed label is correct and the bound
+    exceeds 1/2.
+    """
+    if mode == "evasion":
+        if params is None:
+            raise ParameterError("evasion certification needs trained params")
+        counts = mc_counts_evasion(params, adjacency, features, target_nodes,
+                                   spec, config)
+    elif mode == "poisoning":
+        if train_config is None or train_idx is None or num_classes is None:
+            raise ParameterError(
+                "poisoning certification needs train_idx, train_config and "
+                "num_classes")
+        counts = mc_counts_poisoning(adjacency, features, labels, train_idx,
+                                     train_config, target_nodes, spec, config,
+                                     num_classes)
+    else:
+        raise ParameterError(f"unknown certification mode {mode!r}")
+    return certificates_from_counts(counts, target_nodes, labels, spec,
+                                    config)
 
 
 def relax_scatter(adjacency, delta_relaxed):

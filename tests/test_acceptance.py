@@ -15,14 +15,14 @@ import pytest
 
 from certattack import (AttackConfig, GCNParams, LossKind, NoiseSpec,
                         SmoothingConfig, TrainConfig, WeightScheme,
-                        certified_size, certify_nodes, gradients,
+                        certified_size, gradients,
                         lower_bound_prob, minmax_poisoning, mix_seed,
                         num_pairs, parse_config, pgd_evasion, project_budget,
                         relax_perturbation, report_distribution, run_sweep,
                         runtime_profile, split_nodes, synth_sbm, train,
                         worst_case_retained)
 from oracles import (brute_force_certified_size, central_difference,
-                     exact_smoothed_probs, low_size_fraction,
+                     certify_nodes, exact_smoothed_probs, low_size_fraction,
                      project_capped_box_exact, weighted_loss,
                      worst_case_retained_exact)
 from test_experiment import write_config

@@ -8,17 +8,20 @@ from scipy.sparse.csgraph import connected_components
 
 from certattack import (AttackConfig, Certificate, LossKind, NoiseSpec,
                         ParameterError, SmoothingConfig, TrainConfig,
-                        WeightScheme, apply_perturbation, discretize,
+                        WeightScheme, apply_perturbation, certifier,
+                        discretize,
                         eigenvector_centrality, evaluate_attack, forward,
                         gradients, init_params, minmax_poisoning,
-                        node_weights, pgd_evasion, project_budget,
-                        split_nodes, synth_sbm, top_delta_binary, train)
+                        node_weights, parse_config, pgd_evasion,
+                        prepare_cell, project_budget, split_nodes,
+                        synth_sbm, top_delta_binary, train)
 from certattack import attacks, smoothing
 from certattack.graph import DataSplit, Graph
-from oracles import (discretize_masked, gradients_outer,
+from oracles import (certify_nodes, discretize_masked, gradients_outer,
                      mc_counts_evasion_loop, node_loss, project_bisect_full,
                      project_capped_box_exact, relax_scatter,
                      top_budget_argsort, weighted_loss)
+from test_experiment import readme_config
 
 
 def make_certs(nodes, sizes):
@@ -467,6 +470,42 @@ def assert_same_report(got, want):
     for (t, w), (t_want, w_want) in zip(got.weights_history,
                                         want.weights_history, strict=True):
         assert t == t_want and np.array_equal(w, w_want)
+
+
+class TestCertifier:
+    """certifier's certify equals the keyword-API oracle certify_nodes
+    called with the targets, true labels and train nodes of the mode."""
+
+    @pytest.mark.parametrize("mode, flip_bytes", [
+        ("evasion", smoothing.FLIP_BYTES), ("evasion", 0),
+        ("poisoning", smoothing.FLIP_BYTES)])
+    def test_matches_certify_nodes(self, tmp_path, monkeypatch, mode,
+                                   flip_bytes):
+        monkeypatch.setattr(smoothing, "FLIP_BYTES", flip_bytes)
+        config = parse_config(readme_config(tmp_path, mode))
+        graph, split, train_config, attack = prepare_cell(config, 0)
+        evasion = mode == "evasion"
+        params = (train(graph, split, graph.adjacency, train_config)
+                  if evasion else None)
+        _, _, certify = certifier(mode, graph, split, train_config, attack,
+                                  params)
+        got = certify(graph.adjacency)
+        want = certify_nodes(
+            mode, target_nodes=split.test if evasion else split.train,
+            labels=graph.labels, spec=attack.noise, config=attack.smoothing,
+            adjacency=graph.adjacency, features=graph.features,
+            params=params, train_idx=split.train, train_config=train_config,
+            num_classes=graph.num_classes)
+        assert len(got) == len(want) > 0
+        for x, y in zip(got, want):
+            for name, value in vars(x).items():
+                assert np.array_equal(value, vars(y)[name]), name
+
+    def test_unknown_mode_rejected(self, small_setup):
+        graph, split, _, params = small_setup
+        with pytest.raises(ParameterError, match="certification mode"):
+            certifier("meta", graph, split, None, small_attack_config(1),
+                      params)
 
 
 class TestEdgeWorkspaceScope:

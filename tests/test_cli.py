@@ -1,8 +1,12 @@
-import pytest
+import csv
 
-from certattack import cli, init_params, save_params
+import numpy as np
+import pytest
+from scipy.special import expit
+
+from certattack import cli, init_params, parse_config, save_params
 from certattack.cli import main
-from test_experiment import write_config
+from test_experiment import FLOAT_KEYS, readme_config, write_config
 
 
 def poisoning_config(tmp_path):
@@ -10,6 +14,19 @@ def poisoning_config(tmp_path):
     config.write_text(config.read_text().replace("mode = evasion",
                                                  "mode = poisoning"))
     return config
+
+
+def record_reports(monkeypatch) -> list:
+    """The list that each report of the CLI's run_attack is appended to."""
+    reports = []
+    run_attack = cli.run_attack
+
+    def recording(*args):
+        reports.append(run_attack(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_attack", recording)
+    return reports
 
 
 class TestCli:
@@ -38,19 +55,29 @@ class TestCli:
         # [attack] scheme = certified, and the sweep lists uniform first:
         # attack runs the [attack] keys, not the first sweep cell.
         config = write_config(tmp_path)
-        reports = []
-        run_attack = cli.run_attack
-
-        def recording(*args):
-            reports.append(run_attack(*args))
-            return reports[-1]
-
-        monkeypatch.setattr(cli, "run_attack", recording)
+        reports = record_reports(monkeypatch)
         assert main(["attack", "--config", str(config)]) == 0
         assert "scheme=certified" in capsys.readouterr().out
         [report] = reports
         assert len(report.weights_history) == 2  # refreshes at t = 0, 3
         assert report.cert_seconds > 0.0
+
+    @pytest.mark.parametrize("mode, edits", [
+        ("evasion", {}), ("poisoning", {}),
+        ("evasion", {"beta": 0.9})])  # K of 0 and 1, not all 0
+    def test_certify_writes_the_attacks_first_certificates(
+            self, tmp_path, monkeypatch, mode, edits):
+        # the attack's first weights are expit(-a K) of certify's K column
+        config = readme_config(tmp_path, mode, **edits)
+        reports = record_reports(monkeypatch)
+        assert main(["certify", "--config", str(config)]) == 0
+        assert main(["attack", "--config", str(config)]) == 0
+        with open(tmp_path / "out" / "certificates.csv", newline="") as fh:
+            sizes = np.array([int(row["K"]) for row in csv.DictReader(fh)])
+        assert edits == {} or len(set(sizes)) > 1
+        t, weights = reports[0].weights_history[0]
+        a = parse_config(config).attack.scheme.a
+        assert t == 0 and weights.tobytes() == expit(-a * sizes).tobytes()
 
     def test_train_and_certify_ignore_the_sweep_values(self, tmp_path):
         # an out-of-range sweep value fails its sweep cell, not train or
@@ -103,6 +130,16 @@ class TestCli:
             main(["report-distribution", "--delta", str(tmp_path / "d.tsv"),
                   "--certificates", str(tmp_path / "c.csv"), *flag])
         assert exc.value.code == 2  # argparse: unrecognized argument
+
+    @pytest.mark.parametrize("section, key", FLOAT_KEYS)
+    def test_non_finite_float_is_config_error(self, tmp_path, capsys,
+                                              section, key):
+        config = tmp_path / "config.ini"
+        for raw in ("nan", "inf", "-inf"):
+            config.write_text(f"[{section}]\n{key} = {raw}\n")
+            assert main(["attack", "--config", str(config)]) == 1
+            assert (f"config error: bad value for {key}: '{raw}'"
+                    in capsys.readouterr().err)
 
     def test_missing_config_is_config_error(self):
         assert main(["train", "--config", "/nonexistent/config.ini"]) == 1

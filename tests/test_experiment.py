@@ -13,7 +13,7 @@ from certattack import (Certificate, NoiseSpec, ParameterError,
 from certattack import experiment
 from certattack.cli import main
 from certattack.experiment import (SWEEP_AXES, DatasetConfig,
-                                   ExperimentConfig, run_cell)
+                                   ExperimentConfig, parse_key, run_cell)
 from oracles import low_size_fraction
 
 BASE_CONFIG = """
@@ -67,6 +67,27 @@ def write_config(tmp_path, name="config.ini", seeds="0,1", axis="scheme",
     return path
 
 
+def readme_config(tmp_path, mode="evasion", **edits):
+    """The README's example config with the given keys set, writing to
+    tmp_path / "out"; in poisoning mode with the iterations, refresh
+    interval and N of CI's poisoning runs (10, 5, 20)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    if mode == "poisoning":
+        edits = dict(mode=mode, iterations=10, refresh_interval=5,
+                     num_samples=20, **edits)
+    for key, value in dict(directory=tmp_path / "out", **edits).items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    path = tmp_path / f"{mode}.ini"
+    path.write_text(text)
+    return path
+
+
+# (section, key) of every float key; each rejects NaN and +-inf.
+FLOAT_KEYS = [(section, key) for section, keys in experiment.KEYS.items()
+              for key, parse in keys.items() if parse is float]
+
+
 class TestParseConfig:
     def test_roundtrip(self, tmp_path):
         config = parse_config(write_config(tmp_path))
@@ -112,6 +133,13 @@ class TestParseConfig:
         assert main(["train", "--config", str(path)]) == 1
         assert re.search(message, capsys.readouterr().err)
 
+    @pytest.mark.parametrize("section, key", FLOAT_KEYS)
+    def test_non_finite_float_is_bad_value(self, section, key):
+        for raw in ("nan", "NaN", "inf", "-inf", "Infinity"):
+            with pytest.raises(ParameterError,
+                               match=f"bad value for {key}: '{raw}'"):
+                parse_key(section, key, raw)
+
     def test_missing_keys_keep_dataclass_defaults(self, tmp_path):
         path = tmp_path / "empty.ini"
         path.write_text("[attack]\nbeta = 0.95\n")
@@ -127,13 +155,10 @@ class TestParseConfig:
                 attack.smoothing.num_samples) == (7, 2, 20)
 
     def test_readme_config_lists_every_key(self, tmp_path):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
-        path = tmp_path / "readme.ini"
-        path.write_text(block)
+        path = readme_config(tmp_path)
         parse_config(path)
         listed = configparser.ConfigParser(inline_comment_prefixes=("#",))
-        listed.read_string(block)
+        listed.read(path)
         assert {section: set(listed[section]) for section in listed.sections()
                 } == {section: set(keys)
                       for section, keys in experiment.KEYS.items()}

@@ -15,15 +15,15 @@ from certattack import (CertificationError, DomainError, NoiseSpec,
                         ParameterError, SmoothingConfig, TrainConfig,
                         TrainingError, apply_perturbation,
                         certificates_from_counts, certified_size,
-                        certify_nodes, forward, init_params,
+                        forward, init_params,
                         lower_bound_prob, mc_counts_evasion,
                         mc_counts_poisoning, mix_seed, noise_flips,
                         noisy_forward, num_pairs, predict_all,
                         sample_noise, split_nodes, synth_sbm, train,
                         worst_case_retained, write_certificates_csv)
 from certattack import smoothing
-from oracles import (exact_smoothed_probs, mc_counts_evasion_loop,
-                     worst_case_retained_exact)
+from oracles import (certify_nodes, exact_smoothed_probs,
+                     mc_counts_evasion_loop, worst_case_retained_exact)
 
 
 class TestSampleNoise:

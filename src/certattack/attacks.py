@@ -143,25 +143,26 @@ def project_budget(relaxed: np.ndarray, budget: int) -> np.ndarray:
     otherwise the shift mu with sum(clip(x - mu)) = budget is found by
     bisection on [0, max(x)].
 
-    Each bisection step sums clip(live - mu, 0, 1) over `live`, the
-    entries above `lo` only: an entry at or below lo clips to exactly 0
-    for every later mu >= lo, so the set shrinks each time lo moves.  The
-    live sum is a different rounding of the same real sum T as the
-    full-array sum.  numpy's pairwise summation passes each term through
-    at most 45 additions for m <= 1e8, which puts each sum within about
-    45 u T of T (u = 2**-53), so the two lie within 1e-14 T of each
-    other.  Where the live sum is within 1e-12 (mass + budget) of the
-    budget, the full-array sum decides instead; elsewhere both fall on
-    the same side of the budget.  Every bisection decision, the final mu
-    and the returned array are therefore those of the full-array
-    bisection.  The 1e-12 follows from this bound; it is not a setting.
+    Each bisection step sums clip(live - mu, 0, 1) over `live`: all of x
+    until lo first moves, then the entries above lo only.  An entry at or
+    below lo clips to exactly 0 for every later mu >= lo, so the set
+    shrinks each time lo moves.  Until then the live sum is the full-array
+    sum itself; after, it is a different rounding of the same real sum T.
+    numpy's pairwise summation passes each term through at most 45
+    additions for m <= 1e8, which puts each sum within about 45 u T of T
+    (u = 2**-53), so the two lie within 1e-14 T of each other.  Where the
+    live sum is within 1e-12 (mass + budget) of the budget, the full-array
+    sum decides instead; elsewhere both fall on the same side of the
+    budget.  Every bisection decision, the final mu and the returned
+    array are therefore those of the full-array bisection.  The 1e-12
+    follows from this bound; it is not a setting.
     """
     x = np.asarray(relaxed, dtype=np.float64)
     clipped = np.clip(x, 0.0, 1.0)
     if clipped.sum() <= budget:
         return clipped
     lo, hi = 0.0, float(x.max())
-    live = x[x > lo]
+    live = x
     for _ in range(100):
         mu = 0.5 * (lo + hi)
         mass = np.clip(live - mu, 0.0, 1.0).sum()
@@ -207,13 +208,13 @@ def discretize(relaxed: np.ndarray, budget: int, trials: int,
     best = top_delta_binary(relaxed, budget)
     best_value = objective(best)
     for _ in range(trials):
-        draw = (rng.random(relaxed.size) < relaxed).astype(np.int8)
+        draw = rng.random(relaxed.size) < relaxed
         on = np.flatnonzero(draw)
         if on.size > budget:
-            draw[on[top_delta_binary(relaxed[on], budget) == 0]] = 0
+            draw[on[top_delta_binary(relaxed[on], budget) == 0]] = False
         value = objective(draw)
         if value > best_value:
-            best, best_value = draw, value
+            best, best_value = draw.astype(np.int8), value
     return best
 
 
@@ -313,8 +314,9 @@ def _attack_loop(graph: Graph, split: DataSplit, certification,
     logits_on = noisy_forward(model, A, graph.features)
 
     def attack_objective(binary):  # the CR loss on A xor binary
-        return weighted_logit_loss(logits_on(np.flatnonzero(binary)), labels,
-                                   w_full, targets, config.loss)
+        pairs = np.flatnonzero(binary != 0)
+        return weighted_logit_loss(logits_on(pairs), labels, w_full, targets,
+                                   config.loss)
 
     rng = np.random.default_rng(mix_seed(config.seed, 0xD15C))
     binary = discretize(delta, config.budget, config.discretize_trials, rng,
@@ -414,7 +416,7 @@ def write_delta_edges(delta_binary: np.ndarray, adjacency: np.ndarray,
     if delta_binary.shape != (num_pairs(n),):
         raise DimensionError("flip vector does not match the adjacency size")
     with open(path, "w", encoding="utf-8") as fh:
-        for p in np.flatnonzero(delta_binary):
+        for p in np.flatnonzero(delta_binary != 0):
             s, t = int(rows[p]), int(cols[p])
             direction = "remove" if adjacency[s, t] else "add"
             fh.write(f"{s}\t{t}\t{direction}\n")

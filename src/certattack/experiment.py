@@ -173,14 +173,19 @@ def parse_config(path) -> ExperimentConfig:
     """Parse a key=value experiment config file; every key is checked and
     parsed here, and a missing key keeps its dataclass default."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    if not parser.read(path):
-        raise ParameterError(f"cannot read config file {path}")
+    try:
+        if not parser.read(path):
+            raise ParameterError(f"cannot read config file {path}")
+        texts = {section: dict(parser[section].items())
+                 for section in parser.sections()}
+    except configparser.Error as exc:  # a syntax or interpolation error
+        raise ParameterError(f"{path}: {exc}") from None
     values = {section: {} for section in KEYS}
-    for section in parser.sections():
+    for section, items in texts.items():
         if section not in KEYS:
             raise ParameterError(f"unknown config section [{section}]")
         values[section] = {key: parse_key(section, key, raw)
-                           for key, raw in parser[section].items()}
+                           for key, raw in items.items()}
     split, sweep = values["split"], values["sweep"]
     config = ExperimentConfig(dataset=DatasetConfig(**values["dataset"]),
                               train=TrainConfig(**values["train"]))
@@ -390,7 +395,7 @@ def report_distribution(delta_binary: np.ndarray,
     delta_binary = np.asarray(delta_binary)
     rows, cols = triu_pairs(infer_n(delta_binary.size))
     histogram = Counter()
-    for p in np.flatnonzero(delta_binary):
+    for p in np.flatnonzero(delta_binary != 0):
         hits = [sizes[end] for end in (int(rows[p]), int(cols[p]))
                 if end in sizes]
         histogram.update(hits or ["none"])

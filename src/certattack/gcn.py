@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import (DomainError, NumericError, ParameterError, TrainingError)
 from .graph import DataSplit, Graph
-from .perturb import relax_perturbation, triu_mask, triu_pairs
+from .perturb import relax_perturbation, triu_flat, triu_mask
 
 
 @dataclass(frozen=True)
@@ -145,12 +145,10 @@ def noisy_forward(params: GCNParams, adjacency: np.ndarray,
     1 - v at the flipped pairs while Ahat is built and v again after, so the
     float operations are forward's on the XOR-ed copy; X W1 is made once."""
     A = _binary_symmetric(adjacency)
-    n = A.shape[0]
     Atil = _normalize(A)[0]  # the clean Ahat it also builds goes unused
     flat = Atil.reshape(-1)
     XW1 = np.asarray(features, dtype=np.float64) @ params.W1
-    rows, cols = triu_pairs(n)
-    upper, lower = rows * n + cols, cols * n + rows
+    upper, lower = triu_flat(A.shape[0])
 
     def logits_on(pairs):
         i, k = upper[pairs], lower[pairs]

@@ -37,6 +37,17 @@ def triu_mask(n: int) -> np.ndarray:
     return mask
 
 
+@lru_cache(maxsize=64)
+def triu_flat(n: int):
+    """Flat indices in an (n, n) C-order array of each pair's upper
+    (r * n + c) and lower (c * n + r) entry, in triu_pairs order."""
+    rows, cols = triu_pairs(n)
+    upper, lower = rows * n + cols, cols * n + rows
+    upper.setflags(write=False)
+    lower.setflags(write=False)
+    return upper, lower
+
+
 def infer_n(m: int) -> int:
     """Node count whose strict upper triangle has m entries."""
     n = int(round((1 + np.sqrt(1 + 8 * m)) / 2))
@@ -61,7 +72,7 @@ def apply_perturbation(adjacency: np.ndarray, delta_binary: np.ndarray) -> np.nd
     if not ((delta_binary == 0) | (delta_binary == 1)).all():
         raise DomainError("binary flip vector must contain only 0/1 entries")
     rows, cols = triu_pairs(n)
-    on = np.flatnonzero(delta_binary)
+    on = np.flatnonzero(delta_binary != 0)
     r, c = rows[on], cols[on]
     out = adjacency.copy()
     flipped = out[r, c].astype(np.int8) ^ 1
@@ -77,7 +88,10 @@ def relax_perturbation(adjacency: np.ndarray, delta_relaxed: np.ndarray,
     Coincides exactly with :func:`apply_perturbation` on binary input and is
     differentiable in delta, which is what the attack gradients need.
     A' goes into `out`, an (n, n) float array, when one is given; no
-    other n x n array is made.
+    other n x n array is made.  The cost is one n x n cast plus delta's
+    support: where delta is +0.0, and on the diagonal, (1 - 2a) * 0.0 + a
+    is a + 0.0 for every a with 2a finite, so only the other pairs are
+    written, each entry of both triangles from its own entry a of A.
     """
     adjacency = np.asarray(adjacency)
     n = adjacency.shape[0]
@@ -88,12 +102,12 @@ def relax_perturbation(adjacency: np.ndarray, delta_relaxed: np.ndarray,
     if not (delta_relaxed.min(initial=0.0) >= 0.0
             and delta_relaxed.max(initial=0.0) <= 1.0):
         raise DomainError("relaxed perturbation entries must lie in [0, 1]")
-    out = np.multiply(2.0, adjacency, out=out, dtype=np.float64)
-    np.subtract(1.0, out, out=out)
-    out[triu_mask(n)] *= delta_relaxed  # each pair of both triangles
-    out.T[triu_mask(n)] *= delta_relaxed
-    out.flat[::n + 1] *= 0.0
-    out += adjacency
+    out = np.add(adjacency, 0.0, out=out, dtype=np.float64)
+    on = np.flatnonzero(delta_relaxed.view(np.int64) != 0)  # all but +0.0
+    d = delta_relaxed[on]
+    for entries in triu_flat(n):  # take and put read any memory layout
+        a = np.take(adjacency, entries[on]).astype(np.float64)
+        np.put(out, entries[on], (1.0 - 2.0 * a) * d + a)
     return out
 
 

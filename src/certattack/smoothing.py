@@ -103,7 +103,7 @@ def noise_flips(spec: NoiseSpec, n: int, config: SmoothingConfig):
 def _draw_flips(spec, n, config):
     for j in range(config.num_samples):
         mask = sample_noise(spec, n, config.seed, j)
-        yield np.flatnonzero(mask).astype(np.int32)
+        yield np.flatnonzero(mask != 0).astype(np.int32)
 
 
 def mc_counts_evasion(params: GCNParams, adjacency: np.ndarray,

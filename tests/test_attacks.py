@@ -187,9 +187,10 @@ class TestProjection:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_budget_between_the_two_roundings(self, seed):
-        # the live-set and full-array sums at the first midpoint differ in
-        # the last bit; a budget equal to the full sum puts them on
-        # opposite sides, so only the full-sum fallback decides right
+        # the positive entries alone and the whole array sum to different
+        # roundings at the first midpoint; a budget equal to the full sum
+        # puts them on opposite sides, so the first step must sum all of x or
+        # defer to the full sum
         rng = np.random.default_rng(seed)
         for _ in range(100):  # about a third of the draws qualify
             x = rng.normal(0.0, 0.05, 1000) + (rng.random(1000) < 0.2) * 2.0
@@ -199,6 +200,27 @@ class TestProjection:
                 break
         else:
             pytest.fail("no draw rounds the two sums apart")
+        assert np.array_equal(project_budget(x, full),
+                              project_bisect_full(x, full))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_budget_between_the_two_roundings_after_lo_moves(self, seed):
+        # the first midpoint exceeds the budget, so lo moves and the live
+        # set drops the entries at or below it; at the second midpoint
+        # the live and full sums differ in the last bit, and a budget equal
+        # to the full sum puts them on opposite sides, so only the
+        # full-sum fallback decides right
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            x = rng.normal(0.0, 0.05, 1000) + (rng.random(1000) < 0.2) * 2.0
+            lo, hi = 0.5 * float(x.max()), float(x.max())
+            mu = 0.5 * (lo + hi)
+            full = np.clip(x - mu, 0.0, 1.0).sum()
+            if np.clip(x[x > lo] - mu, 0.0, 1.0).sum() > full:
+                break
+        else:
+            pytest.fail("no draw rounds the two sums apart")
+        assert np.clip(x - lo, 0.0, 1.0).sum() > full  # lo does move
         assert np.array_equal(project_budget(x, full),
                               project_bisect_full(x, full))
 

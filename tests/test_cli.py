@@ -144,6 +144,19 @@ class TestCli:
     def test_missing_config_is_config_error(self):
         assert main(["train", "--config", "/nonexistent/config.ini"]) == 1
 
+    @pytest.mark.parametrize("text", [
+        "[train]\nepochs = 5\nepochs = 6\n",  # a key given twice
+        "epochs = 5\n[train]\n",  # a line before any section
+        "[attack]\nstep_size = 10%\n"],  # a bare % interpolation
+        ids=["duplicate", "no-section", "interpolation"])
+    def test_config_syntax_error_is_config_error(self, tmp_path, capsys,
+                                                 text):
+        config = tmp_path / "config.ini"
+        config.write_text(text)
+        assert main(["train", "--config", str(config),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {config}: " in capsys.readouterr().err
+
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         import numpy as np
         config = write_config(tmp_path)

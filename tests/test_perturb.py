@@ -24,6 +24,23 @@ def adjacency_and_delta(draw, binary=True):
     return adj, delta
 
 
+@st.composite
+def sparse_iterate(draw):
+    """An adjacency of any accepted kind and a delta whose entries are
+    mostly exact zeros of either sign, as a projected PGD iterate is."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    kind = draw(st.sampled_from(["int8", "bool", "float32", "float64",
+                                 "real"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
+    if kind == "real":  # asymmetric, with signed zeros and a 0.5
+        adj = rng.choice([-0.0, 0.0, 0.5, 1.0, 0.3, -1.25], (n, n))
+    else:
+        adj = random_binary_adjacency(rng, n, rng.random()).astype(kind)
+    delta = rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, rng.random()],
+                       num_pairs(n))
+    return adj, delta
+
+
 class TestApply:
     def test_zero_delta_is_identity(self):
         rng = np.random.default_rng(0)
@@ -139,6 +156,30 @@ class TestRelax:
             adj = adj * np.random.default_rng(adj.size).random(adj.shape)
         assert np.array_equal(relax_perturbation(adj, delta),
                               relax_scatter(adj, delta))
+
+    @given(sparse_iterate(), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_patterns_on_sparse_iterates(self, case, into_out):
+        # array_equal takes -0.0 for 0.0, so compare the bit patterns
+        adj, delta = case
+        n = adj.shape[0]
+        out = np.full((n, n), np.nan) if into_out else None
+        got = relax_perturbation(adj, delta, out=out)
+        if into_out:
+            assert got is out
+        assert np.array_equal(got.view(np.int64),
+                              relax_scatter(adj, delta).view(np.int64))
+
+    @pytest.mark.parametrize("layout", ["transposed", "sliced"])
+    def test_fills_a_non_contiguous_out(self, layout):
+        rng = np.random.default_rng(5)
+        n = 9
+        adj = rng.random((n, n))  # asymmetric, so a transposed write shows
+        delta = rng.random(num_pairs(n)) * (rng.random(num_pairs(n)) < 0.3)
+        out = (np.full((n, n), np.nan).T if layout == "transposed"
+               else np.full((n, n + 3), np.nan)[:, :n])
+        assert relax_perturbation(adj, delta, out=out) is out
+        assert np.array_equal(out, relax_scatter(adj, delta))
 
 
 class TestPerturbation:

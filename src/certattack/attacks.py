@@ -315,8 +315,8 @@ def _attack_loop(graph: Graph, split: DataSplit, certification,
 
     def attack_objective(binary):  # the CR loss on A xor binary
         pairs = np.flatnonzero(binary != 0)
-        return weighted_logit_loss(logits_on(pairs), labels, w_full, targets,
-                                   config.loss)
+        return weighted_logit_loss(logits_on([pairs])[0], labels, w_full,
+                                   targets, config.loss)
 
     rng = np.random.default_rng(mix_seed(config.seed, 0xD15C))
     binary = discretize(delta, config.budget, config.discretize_trials, rng,

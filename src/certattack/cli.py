@@ -166,6 +166,8 @@ def cmd_profile(args) -> int:
     config = _load_config(args)
     counts = [parse_key("attack", "num_samples", tok)
               for tok in args.samples.split(",") if tok.strip()]
+    if not counts:
+        raise ParameterError(f"--samples {args.samples!r} names no count")
     path = _output(config.out_dir, "runtime_profile.csv")
     results = runtime_profile(config, counts, path)
     for n_samples, total, cert in results:

@@ -15,6 +15,16 @@ from .errors import (DomainError, NumericError, ParameterError, TrainingError)
 from .graph import DataSplit, Graph
 from .perturb import relax_perturbation, triu_flat, triu_mask
 
+# Stacked kernels hold blocks of about this many adjacency entries.
+STACK_ENTRIES = 100_000
+
+
+def stack_block(n: int) -> int:
+    """Graphs per stacked block at n nodes, 10 at n = 100 and 1 from
+    n = 224: poisoning replicates trained in lockstep, and noisy graphs per
+    call of a noisy_forward scorer."""
+    return max(1, STACK_ENTRIES // (n * n))
+
 
 @dataclass(frozen=True)
 class LossKind:
@@ -94,7 +104,7 @@ def _scale(Atil, out=None):
     """_normalize's tuple from Atil = A + I; the only place Ahat is built."""
     deg = Atil.sum(axis=-1)
     s = deg ** -0.5
-    Ahat = np.multiply(s[..., :, None], s[..., None, :], out=out)
+    Ahat = np.einsum("...i,...j->...ij", s, s, out=out)  # s s^T, per slice
     return Atil, deg, s, np.multiply(Atil, Ahat, out=Ahat)
 
 
@@ -107,11 +117,15 @@ def _propagate(XW1, W2, Ahat):
 
 
 def _logits(XW1, W2, Ahat):
+    """Z2 of Ahat or of each slice of an Ahat stack; a non-finite value
+    raises the error of the first failing slice, as forward would."""
     Z1, _, _, Z2 = _propagate(XW1, W2, Ahat)
-    if not np.isfinite(Z1).all():
-        raise NumericError("non-finite activation in hidden layer")
-    if not np.isfinite(Z2).all():
-        raise NumericError("non-finite logits in output layer")
+    if not (np.isfinite(Z1).all() and np.isfinite(Z2).all()):
+        for z1, z2 in zip(*(z.reshape(-1, *z.shape[-2:]) for z in (Z1, Z2))):
+            if not np.isfinite(z1).all():
+                raise NumericError("non-finite activation in hidden layer")
+            if not np.isfinite(z2).all():
+                raise NumericError("non-finite logits in output layer")
     return Z2
 
 
@@ -140,22 +154,30 @@ def _binary_symmetric(adjacency):
 
 def noisy_forward(params: GCNParams, adjacency: np.ndarray,
                   features: np.ndarray):
-    """logits_on(pairs) -> forward's logits on A xor pairs, for pair indices
-    in triu_pairs order; A must be symmetric and 0/1.  One float A + I takes
-    1 - v at the flipped pairs while Ahat is built and v again after, so the
-    float operations are forward's on the XOR-ed copy; X W1 is made once."""
+    """logits_on(flip_lists) -> a (len(flip_lists), n, C) stack, slice b
+    forward's logits on A xor flip_lists[b], for 1 to stack_block(n) lists
+    of pair indices in triu_pairs order; A must be symmetric and 0/1.  A call
+    copies the float A + I into the scorer's stack, writes 1 - v at each
+    flip and builds Ahat in a second stack: forward's float operations on
+    each XOR-ed copy.  X W1 is made once."""
     A = _binary_symmetric(adjacency)
+    n = A.shape[0]
     Atil = _normalize(A)[0]  # the clean Ahat it also builds goes unused
-    flat = Atil.reshape(-1)
     XW1 = np.asarray(features, dtype=np.float64) @ params.W1
-    upper, lower = triu_flat(A.shape[0])
+    upper, lower = triu_flat(n)
+    stack, spare = np.empty((2, stack_block(n), n, n))
+    flat = stack.reshape(-1)
 
-    def logits_on(pairs):
-        i, k = upper[pairs], lower[pairs]
+    def logits_on(flip_lists):
+        b = len(flip_lists)
+        if not 0 < b <= len(stack):
+            raise ParameterError(f"score 1 to {len(stack)} flip lists a call")
+        np.copyto(stack[:b], Atil)
+        pairs = np.concatenate(flip_lists)
+        shift = np.repeat(np.arange(b) * n * n, [len(f) for f in flip_lists])
+        i, k = upper[pairs] + shift, lower[pairs] + shift
         flat[i] = flat[k] = 1.0 - flat[i]
-        Ahat = _scale(Atil)[3]
-        flat[i] = flat[k] = 1.0 - flat[i]  # flipping again restores A + I
-        return _logits(XW1, params.W2, Ahat)
+        return _logits(XW1, params.W2, _scale(stack[:b], spare[:b])[3])
     return logits_on
 
 
@@ -226,7 +248,7 @@ def _backward(W1, W2, normalized, X, labels, weights, kind, spare=None):
     row_dot = GAt @ s
     col_dot = GAt.T @ s
     d32 = deg ** -1.5
-    GA *= np.multiply(s[:, None], s[None, :], out=spare)  # now Gtil
+    GA *= np.einsum("i,j->ij", s, s, out=spare)  # now Gtil
     GA -= (0.5 * (d32 * row_dot))[:, None]
     GA -= (0.5 * (d32 * col_dot))[None, :]
     return total, gW1, gW2, GA

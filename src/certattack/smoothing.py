@@ -17,6 +17,7 @@ import csv
 import functools
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.special import betaincinv, gammaln
@@ -24,14 +25,10 @@ from scipy.special import betaincinv, gammaln
 from .errors import (CertificationError, GraphLoadError, ParameterError,
                      TrainingError)
 from .gcn import (GCNParams, TrainConfig, noisy_forward, predict_all,
-                  train_arrays)
+                  stack_block, train_arrays)
 from .perturb import apply_perturbation, num_pairs
 
 DEFAULT_RADIUS_CAP = 2000
-
-# Poisoning replicates train in lockstep blocks of about this many
-# adjacency entries: STACK_ENTRIES // n**2 replicates, 10 at n = 100.
-STACK_ENTRIES = 100_000
 
 # An evasion certifier keeps its flip lists, (1 - beta) * m * N int32
 # entries (0.5 MB expected at n=100, beta=0.95, N=500), up to this many bytes.
@@ -111,17 +108,21 @@ def mc_counts_evasion(params: GCNParams, adjacency: np.ndarray,
                       spec: NoiseSpec, config: SmoothingConfig,
                       flips: list | None = None) -> np.ndarray:
     """Monte Carlo label counts under noise for a fixed trained model: each
-    of the N noisy graphs is classified once and serves every target node.
+    of the N noisy graphs is classified once and serves every target node,
+    in blocks of stack_block(n) graphs per call of one noisy_forward scorer.
     A caller may keep flips = noise_flips(spec, n, config) across
-    adjacencies, else they are drawn here; A is symmetric and 0/1."""
+    adjacencies, else they are drawn here, block by block; A is symmetric
+    and 0/1."""
     logits_on = noisy_forward(params, adjacency, features)
     targets = np.asarray(target_nodes, dtype=np.int64)
-    counts = np.zeros((targets.size, params.num_classes), dtype=np.int64)
-    first = np.arange(targets.size) * params.num_classes  # row starts
-    for pairs in flips or _draw_flips(spec, len(adjacency), config):
-        preds = np.argmax(logits_on(pairs), axis=1)
-        counts.reshape(-1)[first + preds[targets]] += 1
-    return counts
+    lists = iter(flips or _draw_flips(spec, len(adjacency), config))
+    votes = []  # (graphs, targets) predicted labels per block
+    while block := list(islice(lists, stack_block(len(adjacency)))):
+        votes.append(np.argmax(logits_on(block), axis=-1)[:, targets])
+    C = params.num_classes
+    flat = np.concatenate(votes) + np.arange(targets.size) * C
+    return np.bincount(flat.reshape(-1), minlength=targets.size * C).reshape(
+        targets.size, C)
 
 
 def mc_counts_poisoning(adjacency: np.ndarray, features: np.ndarray,
@@ -133,7 +134,7 @@ def mc_counts_poisoning(adjacency: np.ndarray, features: np.ndarray,
 
     Replicate j trains on A xor eps_j with a seed derived from
     (train_config.seed, j) and predicts the targets on its own noisy
-    graph.  Replicates train in stacked blocks of STACK_ENTRIES // n**2;
+    graph.  Replicates train in stacked blocks of stack_block(n);
     a divergence names the lowest failing replicate and its own epoch,
     exactly as it fails alone.
     """
@@ -141,7 +142,7 @@ def mc_counts_poisoning(adjacency: np.ndarray, features: np.ndarray,
     counts = np.zeros((targets.size, num_classes), dtype=np.int64)
     n = adjacency.shape[0]
     rows = np.arange(targets.size)
-    block = max(1, STACK_ENTRIES // (n * n))
+    block = stack_block(n)
     for start in range(0, config.num_samples, block):
         js = range(start, min(start + block, config.num_samples))
         noisy = np.stack([apply_perturbation(

@@ -13,7 +13,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from test_golden import FILES, GOLDEN, MODES, build, write_outputs  # noqa: E402
+from test_golden import (FILES, GOLDEN, MODES, build,  # noqa: E402
+                         evasion_outputs, write_outputs)
 
 
 def main() -> None:
@@ -23,6 +24,8 @@ def main() -> None:
             (GOLDEN / mode).mkdir(exist_ok=True)
             for name in FILES:
                 shutil.copyfile(out / name, GOLDEN / mode / name)
+    for name, text in evasion_outputs().items():
+        (GOLDEN / name).write_text(text)
     (GOLDEN / "build.txt").write_text(build())
 
 

@@ -259,3 +259,12 @@ class TestCli:
         assert main(["profile", "--config", str(config),
                      "--samples", "3,x"]) == 1
         assert "bad value for num_samples: 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", [",", "", " , "])
+    def test_profile_without_counts_is_config_error(self, tmp_path, capsys,
+                                                    samples):
+        config = write_config(tmp_path)
+        assert main(["profile", "--config", str(config),
+                     "--samples", samples]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "runtime_profile.csv").exists()

@@ -1,23 +1,33 @@
 """Golden outputs: on the criterion-10 config, in both modes, the sweep's
 raw_results.csv and summary.csv and `certify`'s certificates.csv match
-the files in tests/golden byte for byte.
+the files in tests/golden byte for byte, and so do the evasion label
+counts at N = 2000 of evasion_counts.csv and the digests of the noisy
+logits behind them.
 
 tests/golden/regen.py wrote them on the numpy, scipy and BLAS build that
 tests/golden/build.txt names.  Another build may round differently; a
 mismatch there is a finding to report, not a reason to regenerate.
 """
+from hashlib import sha256
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+from certattack import (NoiseSpec, SmoothingConfig, TrainConfig,
+                        apply_perturbation, mc_counts_evasion, mix_seed,
+                        noise_flips, noisy_forward, num_pairs, split_nodes,
+                        synth_sbm, train)
 from certattack.cli import main
 from test_experiment import write_config
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MODES = ("evasion", "poisoning")
 FILES = ("raw_results.csv", "summary.csv", "certificates.csv")
+COUNTS = "evasion_counts.csv"
+LOGITS = "evasion_logits.sha256"
+BLOCK = 10  # noisy graphs per logits digest
 
 
 def build() -> str:
@@ -46,4 +56,45 @@ def test_outputs_match_golden_files(tmp_path, mode):
         golden = (GOLDEN / mode / name).read_bytes()
         assert (out / name).read_bytes() == golden, (
             f"{mode}/{name} differs from the golden file; written on\n"
+            f"{(GOLDEN / 'build.txt').read_text()}run on\n{build()}")
+
+
+def evasion_outputs() -> dict:
+    """Golden file name -> text, on criterion 7's seed-0 evasion fixture
+    (its model, noise and test targets) at N = 2000: the clean graph and
+    two snapshots with the attack budget's and twice its flips at seeded
+    pairs, all three through one set of kept flip lists.  COUNTS holds
+    mc_counts_evasion's counts per snapshot; LOGITS the SHA-256 of the
+    float64 logits of each snapshot's first BLOCK noisy graphs."""
+    graph = synth_sbm(100, 2, 0.1, 0.01, 8, seed=0)
+    split = split_nodes(graph, (0.1, 0.1, 0.8), 0)
+    params = train(graph, split, graph.adjacency,
+                   TrainConfig(seed=mix_seed(0, 1)))
+    spec, config = NoiseSpec(0.95), SmoothingConfig(2000, 0.1, mix_seed(0, 3))
+    flips = noise_flips(spec, 100, config)
+    budget, m = int(0.1 * graph.num_edges), num_pairs(100)
+    counts = ["snapshot,node," + ",".join(
+        f"count_{c}" for c in range(graph.num_classes))]
+    digests = []
+    for snapshot, size in enumerate((0, budget, 2 * budget)):
+        delta = np.zeros(m, dtype=np.int8)
+        delta[np.random.default_rng(snapshot).choice(m, size,
+                                                     replace=False)] = 1
+        A = apply_perturbation(graph.adjacency, delta)
+        rows = mc_counts_evasion(params, A, graph.features, split.test, spec,
+                                 config, flips)
+        counts += [f"{snapshot},{node}," + ",".join(map(str, row))
+                   for node, row in zip(split.test, rows)]
+        logits = noisy_forward(params, A, graph.features)(flips[:BLOCK])
+        digests.append(f"{snapshot} {sha256(logits.tobytes()).hexdigest()}")
+    return {COUNTS: "\n".join(counts) + "\n",
+            LOGITS: "\n".join(digests) + "\n"}
+
+
+def test_evasion_outputs_match_golden_files():
+    # counts cannot see a moved bit in the noisy forward (a one-ulp change
+    # in _scale leaves all 240 rows equal), so the logits' digest carries it
+    for name, text in evasion_outputs().items():
+        assert text == (GOLDEN / name).read_text(), (
+            f"{name} differs from the golden file; written on\n"
             f"{(GOLDEN / 'build.txt').read_text()}run on\n{build()}")

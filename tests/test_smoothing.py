@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import certattack
-from certattack import (CertificationError, DomainError, NoiseSpec,
-                        ParameterError, SmoothingConfig, TrainConfig,
+from certattack import (CertificationError, DomainError, GCNParams,
+                        Graph, NoiseSpec, NumericError, ParameterError,
+                        SmoothingConfig, TrainConfig,
                         TrainingError, apply_perturbation,
                         certificates_from_counts, certified_size,
                         forward, init_params,
@@ -20,8 +21,10 @@ from certattack import (CertificationError, DomainError, NoiseSpec,
                         mc_counts_poisoning, mix_seed, noise_flips,
                         noisy_forward, num_pairs, predict_all,
                         sample_noise, split_nodes, synth_sbm, train,
-                        worst_case_retained, write_certificates_csv)
+                        triu_pairs, worst_case_retained,
+                        write_certificates_csv)
 from certattack import smoothing
+from certattack.gcn import stack_block
 from oracles import (certify_nodes, exact_smoothed_probs,
                      mc_counts_evasion_loop, worst_case_retained_exact)
 
@@ -140,7 +143,7 @@ class TestEvasionFlipLists:
         for j, pairs in enumerate(noise_flips(spec, 30, config)):
             noisy = apply_perturbation(graph.adjacency,
                                        sample_noise(spec, 30, 3, j))
-            assert logits_on(pairs).tobytes() == forward(
+            assert logits_on([pairs])[0].tobytes() == forward(
                 params, noisy, graph.features).tobytes()
 
     def test_over_cap_draws_in_the_same_loop(self, monkeypatch):
@@ -174,6 +177,128 @@ class TestEvasionFlipLists:
                               SmoothingConfig(5, 0.1))
         with pytest.raises(DomainError):
             noisy_forward(params, adjacency, graph.features)
+
+
+def xor_logits(params, graph, pairs):
+    """forward's logits on the graph with the pair indices flipped."""
+    delta = np.zeros(num_pairs(len(graph.adjacency)), dtype=np.int8)
+    delta[pairs] = 1
+    return forward(params, apply_perturbation(graph.adjacency, delta),
+                   graph.features)
+
+
+class TestStackedScorer:
+    """A scorer call classifies a block of flip lists at once; every slice
+    has forward's bytes and every count the one-graph loop's."""
+
+    def assert_slices(self, params, graph, lists):
+        logits = noisy_forward(params, graph.adjacency, graph.features)(lists)
+        assert logits.shape == (len(lists), len(graph.adjacency),
+                                params.num_classes)
+        for got, pairs in zip(logits, lists):
+            assert got.tobytes() == xor_logits(params, graph, pairs).tobytes()
+
+    @pytest.mark.parametrize("beta", [0.9, 0.9999])
+    def test_full_and_partial_blocks(self, beta):
+        # N = 25 at n = 100 is two blocks of 10 and one of 5; at beta =
+        # 0.9999 about 60% of the lists flip no pair
+        graph, params = exactness_case(100)
+        spec, config = NoiseSpec(beta), SmoothingConfig(25, 0.1, seed=4)
+        flips = noise_flips(spec, 100, config)
+        assert stack_block(100) == 10
+        for start in (0, 10, 20):
+            self.assert_slices(params, graph, flips[start:start + 10])
+        args = (params, graph.adjacency, graph.features, np.arange(100),
+                spec, config)
+        assert np.array_equal(mc_counts_evasion(*args, flips),
+                              mc_counts_evasion_loop(*args))
+
+    def test_lists_without_pairs(self):
+        graph, params = exactness_case(100)
+        empty = np.array([], dtype=np.int32)
+        flips = noise_flips(NoiseSpec(0.9), 100, SmoothingConfig(3, 0.1))
+        self.assert_slices(params, graph, [empty, flips[0], empty, flips[1]])
+        self.assert_slices(params, graph, [empty, empty])
+
+    @pytest.mark.parametrize("count", [0, 11])
+    def test_block_size_is_checked(self, count):
+        # eleven lists at n = 100 would score ten, silently, were the
+        # last one empty
+        graph, params = exactness_case(100)
+        logits_on = noisy_forward(params, graph.adjacency, graph.features)
+        with pytest.raises(ParameterError, match="1 to 10 flip lists"):
+            logits_on([np.array([], dtype=np.int32)] * count)
+
+    def test_one_graph_per_block_past_the_stack_size(self):
+        # from n = 224 a block is one graph; from n = 317 by the max(1, .);
+        # an untrained model's predictions depend on the noise too
+        graph = synth_sbm(320, 2, 0.03, 0.01, 8, seed=320)
+        params = init_params(8, 16, 2, seed=4)
+        spec, config = NoiseSpec(0.99), SmoothingConfig(3, 0.1, seed=5)
+        flips = noise_flips(spec, 320, config)
+        assert [stack_block(n) for n in (223, 224, 320)] == [2, 1, 1]
+        self.assert_slices(params, graph, flips[:1])
+        args = (params, graph.adjacency, graph.features, np.arange(320),
+                spec, config)
+        assert np.array_equal(mc_counts_evasion(*args, flips),
+                              mc_counts_evasion_loop(*args))
+
+    def test_over_cap_draws_block_by_block(self, monkeypatch):
+        graph, params = exactness_case(100)
+        spec, config = NoiseSpec(0.95), SmoothingConfig(25, 0.1, seed=6)
+        monkeypatch.setattr(smoothing, "FLIP_BYTES", 0)
+        assert noise_flips(spec, 100, config) is None
+        drawn, seen = [], []
+        monkeypatch.setattr(smoothing, "sample_noise",
+                            lambda *a: drawn.append(a) or sample_noise(*a))
+        scorer = smoothing.noisy_forward
+
+        def counting(*args):  # masks drawn when each block is scored
+            logits_on = scorer(*args)
+            return lambda lists: seen.append(len(drawn)) or logits_on(lists)
+        monkeypatch.setattr(smoothing, "noisy_forward", counting)
+        args = (params, graph.adjacency, graph.features, np.arange(100),
+                spec, config)
+        assert np.array_equal(mc_counts_evasion(*args, None),
+                              mc_counts_evasion_loop(*args))
+        assert seen == [10, 20, 25]
+
+    @pytest.mark.parametrize("case", ["W1", "W2", "later slice"])
+    def test_first_failing_graph_names_the_error(self, case):
+        # forward checks the hidden layer before the output layer; a
+        # stack must raise what its first failing graph raises alone
+        if case == "later slice":
+            # no edges, one feature: the hidden layer overflows on the
+            # 9-leaf star, the output layer already on the 5-leaf one
+            graph = Graph(np.zeros((12, 12)), np.ones((12, 1)),
+                          np.arange(12) % 2, 2)
+            params = GCNParams([[1e308]], [[1.3, -1.3]])
+            rows, cols = triu_pairs(12)
+            lists = [np.flatnonzero((rows == 0) & (cols <= k)) for k in
+                     (0, 5, 9)]
+            want = ["finite", "output", "hidden"]
+        else:
+            graph, params = exactness_case(100)
+            params = GCNParams(params.W1 * (1e308 if case == "W1" else 1e3),
+                               params.W2 * (1e308 if case == "W2" else 1.0))
+            lists = noise_flips(NoiseSpec(0.9), 100,
+                                SmoothingConfig(10, 0.1))
+            want = ["hidden" if case == "W1" else "output"]
+        with np.errstate(over="ignore", invalid="ignore"):
+            alone = []
+            for pairs in lists:
+                try:
+                    xor_logits(params, graph, pairs)
+                    alone.append("finite")
+                except NumericError as exc:
+                    alone.append(str(exc))
+            first = next(m for m in alone if m != "finite")
+            logits_on = noisy_forward(params, graph.adjacency, graph.features)
+            with pytest.raises(NumericError) as raised:
+                logits_on(lists)
+        assert [m.split()[-2] if m != "finite" else m
+                for m in alone[:len(want)]] == want
+        assert str(raised.value) == first
 
 
 class TestMcCountsPoisoning:

@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionError, GraphLoadError, ParameterError
 from .gcn import (CROSS_ENTROPY, EdgeWorkspace, GCNParams, LossKind,
@@ -122,6 +121,9 @@ def node_weights(scheme: WeightScheme, certificates: list[Certificate] | None,
         return np.ones(targets.size)
     if scheme.tag == "random":
         return np.random.default_rng(scheme.seed).random(targets.size)
+    # After the two returns above, so uniform and random attacks never
+    # load scipy.
+    from scipy.special import expit
     if scheme.tag == "degree":
         deg = np.asarray(graph.adjacency, dtype=np.float64).sum(axis=1)
         return expit(-scheme.a * deg[targets])
@@ -426,28 +428,32 @@ def read_delta_edges(path, n: int | None = None) -> np.ndarray:
     """Inverse of write_delta_edges: the flip vector over n nodes, by
     default the fewest nodes that hold every listed pair.
 
-    Lines are whitespace-separated 's t direction'.  A malformed line, a
-    self-pair or an index outside [0, n) is a GraphLoadError naming the
-    file and line.
+    Lines are whitespace-separated 's t direction'.  A file that cannot be
+    read is a GraphLoadError naming the file; a malformed line, a self-pair
+    or an index outside [0, n) is one naming the file and line.
     """
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            toks = line.split()
-            if not toks:
-                continue
-            where = f"{path}:{lineno}"
-            # A decimal token is a nonnegative integer that int() reads.
-            if not (len(toks) == 3 and toks[0].isdecimal()
-                    and toks[1].isdecimal() and toks[2] in ("add", "remove")):
-                raise GraphLoadError(
-                    f"{where}: expected 's t add|remove', got {line.strip()!r}")
-            s, t = int(toks[0]), int(toks[1])
-            if s == t:
-                raise GraphLoadError(f"{where}: self-pair ({s}, {t})")
-            if n is not None and max(s, t) >= n:
-                raise GraphLoadError(f"{where}: node index outside [0, {n})")
-            pairs.append((s, t))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except OSError as exc:
+        raise GraphLoadError(f"{path}: cannot read flip file: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        toks = line.split()
+        if not toks:
+            continue
+        where = f"{path}:{lineno}"
+        # A decimal token is a nonnegative integer that int() reads.
+        if not (len(toks) == 3 and toks[0].isdecimal()
+                and toks[1].isdecimal() and toks[2] in ("add", "remove")):
+            raise GraphLoadError(
+                f"{where}: expected 's t add|remove', got {line.strip()!r}")
+        s, t = int(toks[0]), int(toks[1])
+        if s == t:
+            raise GraphLoadError(f"{where}: self-pair ({s}, {t})")
+        if n is not None and max(s, t) >= n:
+            raise GraphLoadError(f"{where}: node index outside [0, {n})")
+        pairs.append((s, t))
     if n is None:
         n = 1 + max((max(pair) for pair in pairs), default=0)
     s, t = np.array(pairs, dtype=np.intp).reshape(-1, 2).T

@@ -97,12 +97,12 @@ def _normalize(adjacency_real, out=None):
         raise DomainError("adjacency entries must be nonnegative")
     diagonal = np.arange(A.shape[-1])
     A[..., diagonal, diagonal] += 1.0
-    return _scale(A, out)
+    return _scale(A, A.sum(axis=-1), out)
 
 
-def _scale(Atil, out=None):
-    """_normalize's tuple from Atil = A + I; the only place Ahat is built."""
-    deg = Atil.sum(axis=-1)
+def _scale(Atil, deg, out=None):
+    """_normalize's tuple from Atil = A + I and its row sums deg; the only
+    place Ahat is built."""
     s = deg ** -0.5
     Ahat = np.einsum("...i,...j->...ij", s, s, out=out)  # s s^T, per slice
     return Atil, deg, s, np.multiply(Atil, Ahat, out=Ahat)
@@ -167,6 +167,7 @@ def noisy_forward(params: GCNParams, adjacency: np.ndarray,
     upper, lower = triu_flat(n)
     stack, spare = np.empty((2, stack_block(n), n, n))
     flat = stack.reshape(-1)
+    ones = np.ones(n)
 
     def logits_on(flip_lists):
         b = len(flip_lists)
@@ -177,7 +178,10 @@ def noisy_forward(params: GCNParams, adjacency: np.ndarray,
         shift = np.repeat(np.arange(b) * n * n, [len(f) for f in flip_lists])
         i, k = upper[pairs] + shift, lower[pairs] + shift
         flat[i] = flat[k] = 1.0 - flat[i]
-        return _logits(XW1, params.W2, _scale(stack[:b], spare[:b])[3])
+        # Every entry is 0, 1 or 2, so the product's partial sums are
+        # integers and it gives sum(axis=-1)'s degrees exactly.
+        Ahat = _scale(stack[:b], stack[:b] @ ones, spare[:b])[3]
+        return _logits(XW1, params.W2, Ahat)
     return logits_on
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.special import betaincinv, gammaln
 
 from .errors import (CertificationError, GraphLoadError, ParameterError,
                      TrainingError)
@@ -169,6 +168,8 @@ def lower_bound_prob(count: int, total: int, alpha: float) -> float:
         raise ParameterError(f"count {count} outside [0, {total}]")
     if count == 0:
         return 0.0
+    # Imported here, so that a process that never certifies loads no scipy.
+    from scipy.special import betaincinv
     return float(betaincinv(count, total - count + 1, alpha))
 
 
@@ -185,6 +186,7 @@ def worst_case_retained(p_lower: float, beta: float, radius: int) -> float:
     """
     if radius == 0:
         return p_lower
+    from scipy.special import gammaln  # here, as in lower_bound_prob
     k = np.arange(0, radius + 1, dtype=np.float64)
     log_comb = (gammaln(radius + 1) - gammaln(k + 1)
                 - gammaln(radius - k + 1))
@@ -276,20 +278,26 @@ def write_certificates_csv(certs: list[Certificate], spec: NoiseSpec,
 def read_certificates_csv(path) -> dict[int, int]:
     """node -> certified size map from an exported certificate CSV.
 
-    A missing node or K column, or a node or K that is not a nonnegative
-    integer, is a GraphLoadError naming the file and line.
+    A file that cannot be read is a GraphLoadError naming the file; a
+    missing node or K column, or a node or K that is not a nonnegative
+    integer, is one naming the file and line.
     """
+    try:
+        with open(path, "r", newline="") as fh:
+            lines = list(fh)
+    except OSError as exc:
+        raise GraphLoadError(
+            f"{path}: cannot read certificate file: {exc}") from exc
+    reader = csv.DictReader(lines, restval="")
+    if not {"node", "K"} <= set(reader.fieldnames or ()):
+        raise GraphLoadError(f"{path}:1: need node and K columns, got "
+                             f"{reader.fieldnames}")
     sizes = {}
-    with open(path, "r", newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        if not {"node", "K"} <= set(reader.fieldnames or ()):
-            raise GraphLoadError(f"{path}:1: need node and K columns, got "
-                                 f"{reader.fieldnames}")
-        for row in reader:
-            # A decimal string is a nonnegative integer that int() reads.
-            if not (row["node"].isdecimal() and row["K"].isdecimal()):
-                raise GraphLoadError(
-                    f"{path}:{reader.line_num}: node and K must be "
-                    f"nonnegative integers, got {row['node']!r}, {row['K']!r}")
-            sizes[int(row["node"])] = int(row["K"])
+    for row in reader:
+        # A decimal string is a nonnegative integer that int() reads.
+        if not (row["node"].isdecimal() and row["K"].isdecimal()):
+            raise GraphLoadError(
+                f"{path}:{reader.line_num}: node and K must be "
+                f"nonnegative integers, got {row['node']!r}, {row['K']!r}")
+        sizes[int(row["node"])] = int(row["K"])
     return sizes

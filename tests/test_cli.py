@@ -223,6 +223,21 @@ class TestCli:
         assert code == 1
         assert f"config error: {certs}:{line}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("missing", ["delta", "certificates"])
+    def test_report_distribution_missing_file_is_config_error(
+            self, tmp_path, capsys, missing):
+        files = {"delta": tmp_path / "delta.tsv",
+                 "certificates": tmp_path / "certificates.csv"}
+        files["delta"].write_text("0\t1\tadd\n")
+        files["certificates"].write_text("node,K\n0,1\n1,0\n")
+        files[missing].unlink()
+        code = main(["report-distribution", "--delta", str(files["delta"]),
+                     "--certificates", str(files["certificates"]),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert (f"config error: {files[missing]}: cannot read"
+                in capsys.readouterr().err)
+
     def test_short_checkpoint_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path)
         params = tmp_path / "short.bin"

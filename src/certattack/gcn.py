@@ -3,7 +3,8 @@
 All gradients (with respect to the weight matrices and to the relaxed
 edge-flip vector) are computed analytically, including the chain rule
 through the symmetric degree normalization, so the whole pipeline stays
-deterministic and autograd-free.
+deterministic and autograd-free.  Features come before weights: the
+hidden layer is (Ahat X) W1, so a training builds Ahat X once.
 """
 import struct
 from dataclasses import dataclass
@@ -108,18 +109,20 @@ def _scale(Atil, deg, out=None):
     return Atil, deg, s, np.multiply(Atil, Ahat, out=Ahat)
 
 
-def _propagate(XW1, W2, Ahat):
-    Z1 = Ahat @ XW1
+def _propagate(AX, W1, W2, A_rows):
+    """Both layers from AX = Ahat X: Z1 = AX W1 at every node and
+    Z2 = A_rows (H1 W2) at the rows of Ahat that A_rows holds."""
+    Z1 = AX @ W1
     H1 = np.maximum(Z1, 0.0)
     HW2 = H1 @ W2
-    Z2 = Ahat @ HW2
+    Z2 = A_rows @ HW2
     return Z1, H1, HW2, Z2
 
 
-def _logits(XW1, W2, Ahat):
+def _logits(X, W1, W2, Ahat):
     """Z2 of Ahat or of each slice of an Ahat stack; a non-finite value
     raises the error of the first failing slice, as forward would."""
-    Z1, _, _, Z2 = _propagate(XW1, W2, Ahat)
+    Z1, _, _, Z2 = _propagate(Ahat @ X, W1, W2, Ahat)
     if not (np.isfinite(Z1).all() and np.isfinite(Z2).all()):
         for z1, z2 in zip(*(z.reshape(-1, *z.shape[-2:]) for z in (Z1, Z2))):
             if not np.isfinite(z1).all():
@@ -131,9 +134,9 @@ def _logits(XW1, W2, Ahat):
 
 def forward(params: GCNParams, adjacency_real: np.ndarray,
             features: np.ndarray) -> np.ndarray:
-    """Logits = Ahat relu(Ahat X W1) W2 for all nodes."""
+    """Logits = Ahat relu((Ahat X) W1) W2 for all nodes."""
     Ahat = _normalize(adjacency_real)[3]
-    return _logits(np.asarray(features, dtype=np.float64) @ params.W1,
+    return _logits(np.asarray(features, dtype=np.float64), params.W1,
                    params.W2, Ahat)
 
 
@@ -143,11 +146,21 @@ def predict_all(params: GCNParams, adjacency: np.ndarray,
     return np.argmax(forward(params, adjacency, features), axis=1)
 
 
+def _symmetric(adjacency):
+    """The adjacency, or a (B, n, n) stack, as an array, checked to be
+    symmetric: the backward pass reads the rows of Ahat^T as columns of
+    Ahat."""
+    A = np.asarray(adjacency)
+    if (A.ndim < 2 or A.shape[-1] != A.shape[-2]
+            or (A != np.swapaxes(A, -1, -2)).any()):
+        raise DomainError("adjacency must be symmetric")
+    return A
+
+
 def _binary_symmetric(adjacency):
     """The adjacency as an array, checked to be a symmetric 0/1 matrix."""
-    A = np.asarray(adjacency)
-    if (A.ndim != 2 or A.shape != A.T.shape or (A != A.T).any()
-            or not ((A == 0) | (A == 1)).all()):
+    A = _symmetric(adjacency)
+    if A.ndim != 2 or not ((A == 0) | (A == 1)).all():
         raise DomainError("adjacency must be a symmetric 0/1 matrix")
     return A
 
@@ -159,11 +172,11 @@ def noisy_forward(params: GCNParams, adjacency: np.ndarray,
     of pair indices in triu_pairs order; A must be symmetric and 0/1.  A call
     copies the float A + I into the scorer's stack, writes 1 - v at each
     flip and builds Ahat in a second stack: forward's float operations on
-    each XOR-ed copy.  X W1 is made once."""
+    each XOR-ed copy, Ahat X once per stack."""
     A = _binary_symmetric(adjacency)
     n = A.shape[0]
     Atil = _normalize(A)[0]  # the clean Ahat it also builds goes unused
-    XW1 = np.asarray(features, dtype=np.float64) @ params.W1
+    X = np.asarray(features, dtype=np.float64)
     upper, lower = triu_flat(n)
     stack, spare = np.empty((2, stack_block(n), n, n))
     flat = stack.reshape(-1)
@@ -181,7 +194,7 @@ def noisy_forward(params: GCNParams, adjacency: np.ndarray,
         # Every entry is 0, 1 or 2, so the product's partial sums are
         # integers and it gives sum(axis=-1)'s degrees exactly.
         Ahat = _scale(stack[:b], stack[:b] @ ones, spare[:b])[3]
-        return _logits(XW1, params.W2, Ahat)
+        return _logits(X, params.W1, params.W2, Ahat)
     return logits_on
 
 
@@ -227,25 +240,39 @@ def _relu_mask(P, Z1):
     return P
 
 
-def _backward(W1, W2, normalized, X, labels, weights, kind, spare=None):
-    """Weighted-sum loss with gradients w.r.t. W1, W2 and, given `spare`,
-    the real adjacency entries, via the normalization chain rule;
-    `normalized` is the _normalize tuple of the adjacency.  Without the
-    adjacency gradient, weights and adjacencies may be (B, ...) stacks of
-    B models trained in lockstep; the loss is then one value per model.
-    The adjacency gradient is built over Ahat, A + I and `spare`."""
-    Atil, deg, s, Ahat = normalized
-    XW1 = X @ W1
-    Z1, H1, HW2, Z2 = _propagate(XW1, W2, Ahat)
+def _loss_view(Ahat, X, labels, weights):
+    """(view, labels, weights) for _backward at the loss rows, the nodes
+    whose weight is not zero: the view (Ahat X, Ahat's rows there, its
+    columns there) of Ahat or of each slice of an Ahat stack."""
+    rows = np.flatnonzero(weights)
+    return ((Ahat @ X, Ahat[..., rows, :], Ahat[..., rows]), labels[rows],
+            weights[rows])
+
+
+def _backward(W1, W2, view, labels, weights, kind, edge=None):
+    """Weighted-sum loss over the loss rows with gradients w.r.t. W1, W2
+    and, given `edge` = (normalized, X, spare), the real adjacency
+    entries, via the normalization chain rule.  `view` is (Ahat X,
+    A_rows, A_cols), Ahat's rows and columns at the loss rows, whose
+    labels and weights are given; Ahat must be symmetric, because
+    A_cols stands for A_rows^T.  Without the adjacency gradient, views
+    and weights may be (B, ...) stacks of B models trained in lockstep;
+    the loss is then one value per model.  The adjacency gradient needs
+    every row, `normalized` the _normalize tuple of the adjacency, and
+    is built over its Ahat, its A + I and `spare`."""
+    AX, A_rows, A_cols = view
+    Z1, H1, HW2, Z2 = _propagate(AX, W1, W2, A_rows)
     loss_rows, grad_rows = _loss_rows(Z2, labels, kind)
     total = loss_rows @ weights
     G2 = grad_rows * weights[:, None]
-    AG2 = Ahat @ G2
+    AG2 = A_cols @ G2
     gW2 = np.swapaxes(H1, -1, -2) @ AG2
     GZ1 = _relu_mask(AG2 @ np.swapaxes(W2, -1, -2), Z1)
-    gW1 = X.T @ (Ahat @ GZ1)
-    if spare is None:
+    gW1 = np.swapaxes(AX, -1, -2) @ GZ1
+    if edge is None:
         return total, gW1, gW2, None
+    (Atil, deg, s, Ahat), X, spare = edge
+    XW1 = X @ W1
     GA = np.matmul(G2, HW2.T, out=Ahat)
     GA += np.matmul(GZ1, XW1.T, out=spare)
     GAt = np.multiply(GA, Atil, out=Atil)
@@ -282,12 +309,14 @@ def param_gradients(params: GCNParams, adjacency_real: np.ndarray,
                     features: np.ndarray, labels: np.ndarray,
                     node_weights: np.ndarray, mask: np.ndarray,
                     kind: LossKind = CROSS_ENTROPY):
-    """(loss, dL/dW1, dL/dW2) of the weighted masked loss."""
+    """(loss, dL/dW1, dL/dW2) of the weighted masked loss; the adjacency
+    must be symmetric."""
     X = np.asarray(features, dtype=np.float64)
-    normalized = _normalize(adjacency_real)
+    Ahat = _normalize(_symmetric(adjacency_real))[3]
     w = _effective_weights(node_weights, mask, X.shape[0])
-    total, gW1, gW2, _ = _backward(params.W1, params.W2, normalized, X,
-                                   np.asarray(labels), w, kind)
+    total, gW1, gW2, _ = _backward(
+        params.W1, params.W2, *_loss_view(Ahat, X, np.asarray(labels), w),
+        kind)
     if not (np.isfinite(gW1).all() and np.isfinite(gW2).all()):
         raise NumericError("non-finite parameter gradient")
     return float(total), gW1, gW2
@@ -329,8 +358,9 @@ def gradients(params: GCNParams, adjacency: np.ndarray,
         relax_perturbation(work.adjacency, delta_relaxed, out=Atil), Ahat)
     X = np.asarray(features, dtype=np.float64)
     w = _effective_weights(node_weights, mask, n)
-    total, gW1, gW2, Gtil = _backward(params.W1, params.W2, normalized, X,
-                                      np.asarray(labels), w, kind, spare)
+    total, gW1, gW2, Gtil = _backward(
+        params.W1, params.W2, (Ahat @ X, Ahat, Ahat), np.asarray(labels), w,
+        kind, (normalized, X, spare))
     g_delta = work.sign * np.add(Gtil, Gtil.T, out=spare)[triu_mask(n)]
     if not (np.isfinite(gW1).all() and np.isfinite(gW2).all()
             and np.isfinite(g_delta).all()):
@@ -356,7 +386,9 @@ def train_arrays(adjacency_real: np.ndarray, features: np.ndarray,
 
     The objective is mean CE over the train mask plus an L2 penalty of
     0.5 * weight_decay * ||W||^2; only labels at train_idx are read. The
-    adjacency is fixed, so it is normalized once, before the first epoch.
+    adjacency is fixed and must be symmetric, so Ahat X and Ahat's rows
+    and columns at the train nodes are built once, before the first
+    epoch, and the loss is taken on the train rows only.
 
     A (B, n, n) stack with B `seeds` trains B models in lockstep, model b
     from seeds[b], and returns a list of B GCNParams; every operation
@@ -370,8 +402,7 @@ def train_arrays(adjacency_real: np.ndarray, features: np.ndarray,
     if A.ndim != 3 or len(seeds) != A.shape[0]:
         raise ParameterError("train on a (B, n, n) stack with B seeds")
     X = np.asarray(features, dtype=np.float64)
-    normalized = _normalize(A)
-    labels = np.asarray(labels, dtype=np.int64)
+    Ahat = _normalize(_symmetric(A))[3]
     train_idx = np.asarray(train_idx, dtype=np.int64)
     if train_idx.size == 0:
         raise ParameterError("cannot train on an empty mask")
@@ -381,18 +412,20 @@ def train_arrays(adjacency_real: np.ndarray, features: np.ndarray,
     W2 = np.stack([p.W2 for p in inits])
     weights = np.zeros(X.shape[0])
     weights[train_idx] = 1.0 / train_idx.size
+    view, labels, weights = _loss_view(
+        Ahat, X, np.asarray(labels, dtype=np.int64), weights)
     wd = config.weight_decay
     failed_at = np.full(len(seeds), -1)  # each model's first bad epoch
     for epoch in range(config.epochs):
-        data_loss, gW1, gW2, _ = _backward(W1, W2, normalized, X, labels,
-                                           weights, CROSS_ENTROPY)
+        data_loss, gW1, gW2, _ = _backward(W1, W2, view, labels, weights,
+                                           CROSS_ENTROPY)
         failed_at[(failed_at < 0) & ~np.isfinite(data_loss)] = epoch
         if failed_at[0] >= 0:
             break
         W1 = W1 - config.learning_rate * (gW1 + wd * W1)
         W2 = W2 - config.learning_rate * (gW2 + wd * W2)
     else:
-        final_rows, _ = _loss_rows(_propagate(X @ W1, W2, normalized[3])[3],
+        final_rows, _ = _loss_rows(_propagate(view[0], W1, W2, view[1])[3],
                                    labels, CROSS_ENTROPY)
         final = final_rows @ weights + 0.5 * wd * (
             np.sum(W1 * W1, axis=(1, 2)) + np.sum(W2 * W2, axis=(1, 2)))
@@ -429,22 +462,32 @@ def save_params(params: GCNParams, path) -> None:
 
 def load_params(path) -> GCNParams:
     """Inverse of save_params; a file that is not a whole checkpoint is a
-    ParameterError."""
+    ParameterError.  Each matrix's size is checked against the bytes left
+    before it is read, and no byte may follow W2."""
     with open(path, "rb") as fh:
-        def read(size):
-            buf = fh.read(size)
-            if len(buf) != size:
-                raise ParameterError(f"{path}: truncated checkpoint")
-            return buf
-
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ParameterError(f"{path}: not a GCN checkpoint")
-        (version,) = struct.unpack("<Q", read(8))
-        if version != _VERSION:
-            raise ParameterError(f"{path}: unsupported checkpoint version {version}")
-        mats = []
-        for _ in range(2):
-            rows, cols = struct.unpack("<QQ", read(16))
-            buf = read(rows * cols * 8)
-            mats.append(np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy())
+        data = memoryview(fh.read())
+    offset = 0
+
+    def read(size):
+        nonlocal offset
+        if size > len(data) - offset:
+            raise ParameterError(f"{path}: truncated checkpoint")
+        offset += size
+        return data[offset - size:offset]
+
+    (version,) = struct.unpack("<Q", read(8))
+    if version != _VERSION:
+        raise ParameterError(f"{path}: unsupported checkpoint version {version}")
+    mats = []
+    for _ in range(2):
+        rows, cols = struct.unpack("<QQ", read(16))
+        if rows * cols == 0:  # numpy cannot shape (0, 2**62)
+            raise ParameterError(f"{path}: empty weight matrix")
+        buf = read(rows * cols * 8)
+        mats.append(np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy())
+    if offset != len(data):
+        raise ParameterError(f"{path}: {len(data) - offset} bytes after the "
+                             "checkpoint")
     return GCNParams(*mats)

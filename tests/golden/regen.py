@@ -1,10 +1,12 @@
 """Rewrite the golden files that tests/test_golden.py compares, and
-build.txt, the numpy, scipy and BLAS build that wrote them.
+build.txt, the arithmetic version and the numpy, scipy and BLAS build
+that wrote them.
 
     PYTHONPATH=src python tests/golden/regen.py
 
-Regenerate only for a change that means to move these outputs, on the
-build that build.txt names, and say so in the change's notes.
+Regenerate only for a change that means to move these outputs, which
+bumps certattack.ARITHMETIC_VERSION, on the build that build.txt names,
+and say so in the change's notes.
 """
 import shutil
 import sys
@@ -14,7 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from test_golden import (FILES, GOLDEN, MODES, build,  # noqa: E402
-                         evasion_outputs, write_outputs)
+                         evasion_outputs, training_outputs, write_outputs)
 
 
 def main() -> None:
@@ -24,7 +26,7 @@ def main() -> None:
             (GOLDEN / mode).mkdir(exist_ok=True)
             for name in FILES:
                 shutil.copyfile(out / name, GOLDEN / mode / name)
-    for name, text in evasion_outputs().items():
+    for name, text in {**evasion_outputs(), **training_outputs()}.items():
         (GOLDEN / name).write_text(text)
     (GOLDEN / "build.txt").write_text(build())
 

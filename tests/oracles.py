@@ -284,16 +284,16 @@ def gradients_outer(params, adjacency, delta_relaxed, features, labels,
     mask = np.asarray(mask, dtype=np.int64)
     w[mask] = np.asarray(node_weights, dtype=np.float64)[mask]
     Atil, deg, s, Ahat = gcn._normalize(relax_scatter(A, delta_relaxed))
-    XW1 = X @ params.W1
-    Z1, H1, HW2, Z2 = gcn._propagate(XW1, params.W2, Ahat)
+    AX = Ahat @ X
+    Z1, H1, HW2, Z2 = gcn._propagate(AX, params.W1, params.W2, Ahat)
     loss_rows, grad_rows = loss_rows_reduce(Z2, np.asarray(labels), kind)
     total = loss_rows @ w
     G2 = grad_rows * w[:, None]
     AG2 = Ahat @ G2
     gW2 = H1.T @ AG2
     GZ1 = np.where(Z1 > 0.0, AG2 @ params.W2.T, 0.0)
-    gW1 = X.T @ (Ahat @ GZ1)
-    GA = G2 @ HW2.T + GZ1 @ XW1.T
+    gW1 = AX.T @ GZ1
+    GA = G2 @ HW2.T + GZ1 @ (X @ params.W1).T
     GAt = GA * Atil
     row_dot = GAt @ s
     col_dot = GAt.T @ s
@@ -377,24 +377,23 @@ def loss_rows_reduce(logits, labels, kind):
     return loss, grad
 
 
-def backward_where(W1, W2, normalized, X, labels, weights, kind,
-                   spare=None):
+def backward_where(W1, W2, view, labels, weights, kind, edge=None):
     """gcn._backward with the ReLU mask by np.where, the losses from
-    loss_rows_reduce and the edge gradient in fresh arrays; `spare` only
+    loss_rows_reduce and the edge gradient in fresh arrays; `edge` only
     asks for the edge gradient, and no input is written."""
-    Atil, deg, s, Ahat = normalized
-    XW1 = X @ W1
-    Z1, H1, HW2, Z2 = gcn._propagate(XW1, W2, Ahat)
+    AX, A_rows, A_cols = view
+    Z1, H1, HW2, Z2 = gcn._propagate(AX, W1, W2, A_rows)
     loss_rows, grad_rows = loss_rows_reduce(Z2, labels, kind)
     total = loss_rows @ weights
     G2 = grad_rows * weights[:, None]
-    AG2 = Ahat @ G2
+    AG2 = A_cols @ G2
     gW2 = np.swapaxes(H1, -1, -2) @ AG2
     GZ1 = np.where(Z1 > 0.0, AG2 @ np.swapaxes(W2, -1, -2), 0.0)
-    gW1 = X.T @ (Ahat @ GZ1)
-    if spare is None:
+    gW1 = np.swapaxes(AX, -1, -2) @ GZ1
+    if edge is None:
         return total, gW1, gW2, None
-    GA = G2 @ HW2.T + GZ1 @ XW1.T
+    (Atil, deg, s, _), X, _ = edge
+    GA = G2 @ HW2.T + GZ1 @ (X @ W1).T
     GAt = GA * Atil
     row_dot = GAt @ s
     col_dot = GAt.T @ s

@@ -1,4 +1,5 @@
 import csv
+import struct
 
 import numpy as np
 import pytest
@@ -242,6 +243,15 @@ class TestCli:
         config = write_config(tmp_path)
         params = tmp_path / "short.bin"
         params.write_bytes(b"GCNPARAM\x01\x00")
+        assert main(["certify", "--config", str(config),
+                     "--params", str(params)]) == 1
+        assert "truncated checkpoint" in capsys.readouterr().err
+
+    def test_oversized_checkpoint_header_is_config_error(self, tmp_path,
+                                                          capsys):
+        config = write_config(tmp_path)
+        params = tmp_path / "huge.bin"
+        params.write_bytes(b"GCNPARAM" + struct.pack("<QQQ", 1, 2**40, 2**40))
         assert main(["certify", "--config", str(config),
                      "--params", str(params)]) == 1
         assert "truncated checkpoint" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -177,11 +178,17 @@ class TestEpochKernels:
             W1, W2 = W1[0], W2[0]
         labels = np.where(rng.random(30) < 0.3, -1, g.labels)
         weights = np.where(labels < 0, 0.0, rng.random(30))
-        spare = np.empty((30, 30)) if edge else None
-        want = backward_where(W1, W2, gcn._normalize(adjacency), g.features,
-                              labels, weights, kind, spare)
-        ours = gcn._backward(W1, W2, gcn._normalize(adjacency), g.features,
-                             labels, weights, kind, spare)
+
+        def args():  # the edge gradient writes its normalized tuple
+            normalized = gcn._normalize(adjacency)
+            Ahat = normalized[3]
+            if not edge:  # the loss rows, as training and param_gradients
+                return (*gcn._loss_view(Ahat, g.features, labels, weights),
+                        kind)
+            return ((Ahat @ g.features, Ahat, Ahat), labels, weights, kind,
+                    (normalized, g.features, np.empty((30, 30))))
+        want = backward_where(W1, W2, *args())
+        ours = gcn._backward(W1, W2, *args())
         _assert_same_bits(ours, want)
 
     def test_train_arrays_weights_match_where_form(self, monkeypatch):
@@ -287,6 +294,38 @@ class TestGradients:
             mask = np.array([0, 2, 3, 5])
             w[mask] = rng.uniform(0.2, 1.0, mask.size)
             assert _fd_check(g, params, delta, w, mask, kind) <= 1e-4
+
+    def test_param_gradients_match_finite_differences(self):
+        # the loss rows only, on a real-valued symmetric adjacency
+        g = synth_sbm(12, 2, 0.5, 0.2, 4, seed=3)
+        rng = np.random.default_rng(3)
+        scale = rng.random((12, 12))
+        adjacency = g.adjacency * (scale + scale.T)
+        params = init_params(4, 5, 2, seed=3)
+        w = rng.uniform(0.2, 1.0, 12)
+        mask = np.array([1, 4, 5, 9])
+        _, gW1, gW2 = param_gradients(params, adjacency, g.features,
+                                      g.labels, w, mask)
+
+        def loss_of(W1, W2):
+            return weighted_loss(GCNParams(W1, W2), adjacency, g.features,
+                                 g.labels, w, mask)
+        fd1 = central_difference(
+            lambda v: loss_of(v.reshape(params.W1.shape), params.W2),
+            params.W1.ravel()).reshape(params.W1.shape)
+        fd2 = central_difference(
+            lambda v: loss_of(params.W1, v.reshape(params.W2.shape)),
+            params.W2.ravel()).reshape(params.W2.shape)
+        assert max(_rel_err(gW1, fd1), _rel_err(gW2, fd2)) <= 1e-4
+
+    def test_asymmetric_adjacency_rejected(self):
+        # the backward pass reads the rows of Ahat^T as columns of Ahat, so
+        # an asymmetric adjacency would get wrong weight gradients back
+        g = synth_sbm(12, 2, 0.5, 0.2, 4, seed=3)
+        adjacency = g.adjacency * np.random.default_rng(3).random((12, 12))
+        with pytest.raises(DomainError, match="symmetric"):
+            param_gradients(init_params(4, 5, 2, seed=3), adjacency,
+                            g.features, g.labels, np.ones(12), np.arange(12))
 
     @given(st.integers(min_value=0, max_value=2 ** 31),
            st.integers(min_value=1, max_value=12),
@@ -476,6 +515,16 @@ class TestTrain:
         assert str(stacked.value) == str(alone.value)
         assert str(alone.value) == f"loss diverged at epoch {epoch}"
 
+    def test_asymmetric_adjacency_rejected(self, tiny_graph):
+        split = split_nodes(tiny_graph, (1.0, 0.0, 0.0), seed=0)
+        stack = np.stack([tiny_graph.adjacency] * 2)
+        stack[1, 0, 1] = 1 - stack[1, 1, 0]  # only the second matrix
+        with pytest.raises(DomainError, match="symmetric"):
+            train(tiny_graph, split, stack[1], TrainConfig(epochs=5))
+        with pytest.raises(DomainError, match="symmetric"):
+            train_arrays(stack, tiny_graph.features, tiny_graph.labels,
+                         split.train, TrainConfig(epochs=5), 2, [1, 2])
+
     def test_stack_needs_one_seed_per_adjacency(self, tiny_graph):
         args = (tiny_graph.features, tiny_graph.labels, np.arange(4),
                 TrainConfig(epochs=5), 2)
@@ -531,4 +580,28 @@ class TestCheckpoint:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTAMODEL")
         with pytest.raises(ParameterError):
+            load_params(path)
+
+    @pytest.mark.parametrize("matrix, dims, error", [
+        ("W1", (2**40, 2**40), "truncated"),
+        ("W2", (2**40, 2**40), "truncated"),
+        ("W1", (0, 2**62), "empty")], ids=["W1", "W2", "empty"])
+    def test_dims_beyond_the_file_rejected(self, tmp_path, matrix, dims,
+                                           error):
+        # 2^40 x 2^40 doubles: the byte count overflows any index, so the
+        # header must be checked against the file, not read through
+        path = tmp_path / "params.bin"
+        save_params(init_params(5, 4, 3, seed=7), path)
+        data = path.read_bytes()
+        at = 16 if matrix == "W1" else 16 + 16 + 5 * 4 * 8
+        path.write_bytes(data[:at] + struct.pack("<QQ", *dims)
+                         + data[at + 16:])
+        with pytest.raises(ParameterError, match=error):
+            load_params(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "params.bin"
+        save_params(init_params(5, 4, 3, seed=7), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(ParameterError, match="1 bytes after"):
             load_params(path)

@@ -2,11 +2,13 @@
 raw_results.csv and summary.csv and `certify`'s certificates.csv match
 the files in tests/golden byte for byte, and so do the evasion label
 counts at N = 2000 of evasion_counts.csv and the digests of the noisy
-logits behind them.
+logits behind them, the digests of trained weights and the poisoning
+label counts on the criterion-8 config.
 
-tests/golden/regen.py wrote them on the numpy, scipy and BLAS build that
-tests/golden/build.txt names.  Another build may round differently; a
-mismatch there is a finding to report, not a reason to regenerate.
+tests/golden/regen.py wrote them at the arithmetic version and on the
+numpy, scipy and BLAS build that tests/golden/build.txt names.  Another
+build may round differently; a mismatch there is a finding to report,
+not a reason to regenerate.
 """
 from hashlib import sha256
 from pathlib import Path
@@ -15,10 +17,11 @@ import numpy as np
 import pytest
 import scipy
 
-from certattack import (NoiseSpec, SmoothingConfig, TrainConfig,
-                        apply_perturbation, mc_counts_evasion, mix_seed,
-                        noise_flips, noisy_forward, num_pairs, split_nodes,
-                        synth_sbm, train)
+from certattack import (ARITHMETIC_VERSION, NoiseSpec, SmoothingConfig,
+                        TrainConfig, apply_perturbation, mc_counts_evasion,
+                        mc_counts_poisoning, mix_seed, noise_flips,
+                        noisy_forward, num_pairs, sample_noise, split_nodes,
+                        synth_sbm, train, train_arrays)
 from certattack.cli import main
 from test_experiment import write_config
 
@@ -27,14 +30,30 @@ MODES = ("evasion", "poisoning")
 FILES = ("raw_results.csv", "summary.csv", "certificates.csv")
 COUNTS = "evasion_counts.csv"
 LOGITS = "evasion_logits.sha256"
-BLOCK = 10  # noisy graphs per logits digest
+WEIGHTS = "training_weights.sha256"
+POISON_COUNTS = "poisoning_counts.csv"
+BLOCK = 10  # noisy graphs per logits digest, replicates per weights block
 
 
 def build() -> str:
-    """The numpy, scipy and BLAS build of this process, one per line."""
+    """The arithmetic version and the numpy, scipy and BLAS build of this
+    process, one per line."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return (f"numpy {np.__version__}\nscipy {scipy.__version__}\n"
+    return (f"arithmetic_version {ARITHMETIC_VERSION}\n"
+            f"numpy {np.__version__}\nscipy {scipy.__version__}\n"
             f"blas {blas['name']} {blas['version']}\n")
+
+
+def mismatch(name: str) -> str:
+    return (f"{name} differs from the golden file; written on\n"
+            f"{(GOLDEN / 'build.txt').read_text()}run on\n{build()}")
+
+
+def test_golden_files_match_arithmetic_version():
+    written = (GOLDEN / "build.txt").read_text().splitlines()
+    assert f"arithmetic_version {ARITHMETIC_VERSION}" in written, (
+        f"certattack.ARITHMETIC_VERSION is {ARITHMETIC_VERSION}, but "
+        f"tests/golden/build.txt reads {written[0]!r}")
 
 
 def write_outputs(tmp_path: Path, mode: str) -> Path:
@@ -54,9 +73,19 @@ def test_outputs_match_golden_files(tmp_path, mode):
     out = write_outputs(tmp_path, mode)
     for name in FILES:
         golden = (GOLDEN / mode / name).read_bytes()
-        assert (out / name).read_bytes() == golden, (
-            f"{mode}/{name} differs from the golden file; written on\n"
-            f"{(GOLDEN / 'build.txt').read_text()}run on\n{build()}")
+        assert (out / name).read_bytes() == golden, mismatch(f"{mode}/{name}")
+
+
+def criterion_fixture():
+    """Criteria 7 and 8's graph, seed-0 split and clean evasion model."""
+    graph = synth_sbm(100, 2, 0.1, 0.01, 8, seed=0)
+    split = split_nodes(graph, (0.1, 0.1, 0.8), 0)
+    return graph, split, train(graph, split, graph.adjacency,
+                               TrainConfig(seed=mix_seed(0, 1)))
+
+
+def weights_digest(params) -> str:
+    return sha256(params.W1.tobytes() + params.W2.tobytes()).hexdigest()
 
 
 def evasion_outputs() -> dict:
@@ -66,10 +95,7 @@ def evasion_outputs() -> dict:
     pairs, all three through one set of kept flip lists.  COUNTS holds
     mc_counts_evasion's counts per snapshot; LOGITS the SHA-256 of the
     float64 logits of each snapshot's first BLOCK noisy graphs."""
-    graph = synth_sbm(100, 2, 0.1, 0.01, 8, seed=0)
-    split = split_nodes(graph, (0.1, 0.1, 0.8), 0)
-    params = train(graph, split, graph.adjacency,
-                   TrainConfig(seed=mix_seed(0, 1)))
+    graph, split, params = criterion_fixture()
     spec, config = NoiseSpec(0.95), SmoothingConfig(2000, 0.1, mix_seed(0, 3))
     flips = noise_flips(spec, 100, config)
     budget, m = int(0.1 * graph.num_edges), num_pairs(100)
@@ -91,10 +117,47 @@ def evasion_outputs() -> dict:
             LOGITS: "\n".join(digests) + "\n"}
 
 
+def training_outputs() -> dict:
+    """Golden file name -> text, on criterion 8's seed-0 poisoning config
+    (beta = 0.9, N = 60, 120 epochs at rate 0.1).  WEIGHTS holds the
+    SHA-256 of the weights of criterion 7's clean evasion model and of
+    each model that train_arrays returns on the config's first block of
+    BLOCK noisy graphs; POISON_COUNTS mc_counts_poisoning's counts at
+    the train nodes."""
+    graph, split, params = criterion_fixture()
+    spec, config = NoiseSpec(0.9), SmoothingConfig(60, 0.1, mix_seed(0, 3))
+    train_config = TrainConfig(epochs=120, learning_rate=0.1,
+                               seed=mix_seed(0, 1))
+    noisy = np.stack([apply_perturbation(
+        graph.adjacency, sample_noise(spec, graph.n, config.seed, j))
+        for j in range(BLOCK)])
+    block = train_arrays(noisy, graph.features, graph.labels, split.train,
+                         train_config, graph.num_classes,
+                         [mix_seed(train_config.seed, j)
+                          for j in range(BLOCK)])
+    digests = [f"evasion {weights_digest(params)}"] + [
+        f"poisoning {j} {weights_digest(model)}"
+        for j, model in enumerate(block)]
+    rows = mc_counts_poisoning(graph.adjacency, graph.features, graph.labels,
+                               split.train, train_config, split.train, spec,
+                               config, graph.num_classes)
+    counts = ["node," + ",".join(
+        f"count_{c}" for c in range(graph.num_classes))]
+    counts += [f"{node}," + ",".join(map(str, row))
+               for node, row in zip(split.train, rows)]
+    return {WEIGHTS: "\n".join(digests) + "\n",
+            POISON_COUNTS: "\n".join(counts) + "\n"}
+
+
 def test_evasion_outputs_match_golden_files():
     # counts cannot see a moved bit in the noisy forward (a one-ulp change
     # in _scale leaves all 240 rows equal), so the logits' digest carries it
     for name, text in evasion_outputs().items():
-        assert text == (GOLDEN / name).read_text(), (
-            f"{name} differs from the golden file; written on\n"
-            f"{(GOLDEN / 'build.txt').read_text()}run on\n{build()}")
+        assert text == (GOLDEN / name).read_text(), mismatch(name)
+
+
+def test_training_outputs_match_golden_files():
+    # the counts alone cannot see a moved bit in training, so the weights'
+    # digests carry it
+    for name, text in training_outputs().items():
+        assert text == (GOLDEN / name).read_text(), mismatch(name)

@@ -279,7 +279,10 @@ class TestStackedScorer:
             want = ["finite", "output", "hidden"]
         else:
             graph, params = exactness_case(100)
-            params = GCNParams(params.W1 * (1e308 if case == "W1" else 1e3),
+            # W1 x 2.8e308, in two finite factors, is finite, while a
+            # partial sum of (Ahat X) W1 is not
+            params = GCNParams(params.W1 * (1e308 if case == "W1" else 1e3)
+                               * (2.8 if case == "W1" else 1.0),
                                params.W2 * (1e308 if case == "W2" else 1.0))
             lists = noise_flips(NoiseSpec(0.9), 100,
                                 SmoothingConfig(10, 0.1))

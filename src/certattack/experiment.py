@@ -9,6 +9,7 @@ is byte-identical across reruns of the same config.
 import configparser
 import csv
 import math
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -265,10 +266,19 @@ def run_cell(config: ExperimentConfig, seed: int, value: str) -> ResultRow:
 
 
 def _write_csv(path, header: list, records) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(records)
+    """Write the CSV to a temp file beside `path`, then move it over
+    `path`: a crash while writing leaves the previous file whole and no
+    temp file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(records)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only by a failed write
 
 
 def _row_record(row: ResultRow) -> list:

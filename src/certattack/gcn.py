@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (DomainError, NumericError, ParameterError, TrainingError)
 from .graph import DataSplit, Graph
-from .perturb import relax_perturbation, triu_flat, triu_mask
+from .perturb import relax_perturbation, triu_flat
 
 # Stacked kernels hold blocks of about this many adjacency entries.
 STACK_ENTRIES = 100_000
@@ -87,26 +87,31 @@ class TrainConfig:
             raise ParameterError("hidden_dim must be positive")
 
 
-def _normalize(adjacency_real, out=None):
-    """(A + I, its degrees d, d^{-1/2}, Ahat) of a real adjacency A, or of
-    each matrix of a (B, n, n) stack; Ahat = D^{-1/2} (A + I) D^{-1/2}.
-    With `out`, Ahat goes there and A + I over A, the caller's buffer;
-    without, A + I is built in a float copy.  The only place it is built."""
-    A = (np.array(adjacency_real, dtype=np.float64) if out is None
-         else adjacency_real)
+class _Ahat:
+    """Ahat = S (A + I) S, S = diag(deg^{-1/2}) with deg the row sums of
+    A + I, as an operator that is never built: Ahat @ Y is
+    s (Atil (s Y)) for Atil = A + I, slice by slice for (B, n, n) stacks.
+    Each product keeps its Atil S Y in `inner`, in call order: the edge
+    gradient's factors."""
+
+    def __init__(self, Atil, deg):
+        self.Atil, self.deg, self.inner = Atil, deg, []
+        self.s = (deg ** -0.5)[..., None]
+
+    def __matmul__(self, Y):
+        self.inner.append(self.Atil @ (self.s * Y))
+        return self.s * self.inner[-1]
+
+
+def _normalize(adjacency_real, copy=True):
+    """The _Ahat of a real adjacency A or of each matrix of a (B, n, n)
+    stack; A + I goes in a float copy, or with copy=False over A itself."""
+    A = np.array(adjacency_real, dtype=np.float64) if copy else adjacency_real
     if A.min(initial=0.0) < -1e-12:
         raise DomainError("adjacency entries must be nonnegative")
     diagonal = np.arange(A.shape[-1])
     A[..., diagonal, diagonal] += 1.0
-    return _scale(A, A.sum(axis=-1), out)
-
-
-def _scale(Atil, deg, out=None):
-    """_normalize's tuple from Atil = A + I and its row sums deg; the only
-    place Ahat is built."""
-    s = deg ** -0.5
-    Ahat = np.einsum("...i,...j->...ij", s, s, out=out)  # s s^T, per slice
-    return Atil, deg, s, np.multiply(Atil, Ahat, out=Ahat)
+    return _Ahat(A, A.sum(axis=-1))
 
 
 def _propagate(AX, W1, W2, A_rows):
@@ -120,8 +125,8 @@ def _propagate(AX, W1, W2, A_rows):
 
 
 def _logits(X, W1, W2, Ahat):
-    """Z2 of Ahat or of each slice of an Ahat stack; a non-finite value
-    raises the error of the first failing slice, as forward would."""
+    """Z2 of an _Ahat or of each slice of an _Ahat stack; a non-finite
+    value raises the error of the first failing slice, as forward would."""
     Z1, _, _, Z2 = _propagate(Ahat @ X, W1, W2, Ahat)
     if not (np.isfinite(Z1).all() and np.isfinite(Z2).all()):
         for z1, z2 in zip(*(z.reshape(-1, *z.shape[-2:]) for z in (Z1, Z2))):
@@ -135,9 +140,8 @@ def _logits(X, W1, W2, Ahat):
 def forward(params: GCNParams, adjacency_real: np.ndarray,
             features: np.ndarray) -> np.ndarray:
     """Logits = Ahat relu((Ahat X) W1) W2 for all nodes."""
-    Ahat = _normalize(adjacency_real)[3]
     return _logits(np.asarray(features, dtype=np.float64), params.W1,
-                   params.W2, Ahat)
+                   params.W2, _normalize(adjacency_real))
 
 
 def predict_all(params: GCNParams, adjacency: np.ndarray,
@@ -170,15 +174,14 @@ def noisy_forward(params: GCNParams, adjacency: np.ndarray,
     """logits_on(flip_lists) -> a (len(flip_lists), n, C) stack, slice b
     forward's logits on A xor flip_lists[b], for 1 to stack_block(n) lists
     of pair indices in triu_pairs order; A must be symmetric and 0/1.  A call
-    copies the float A + I into the scorer's stack, writes 1 - v at each
-    flip and builds Ahat in a second stack: forward's float operations on
-    each XOR-ed copy, Ahat X once per stack."""
+    copies the float A + I into the scorer's stack and writes 1 - v at each
+    flip: forward's float operations on each XOR-ed copy."""
     A = _binary_symmetric(adjacency)
     n = A.shape[0]
-    Atil = _normalize(A)[0]  # the clean Ahat it also builds goes unused
+    Atil = _normalize(A).Atil
     X = np.asarray(features, dtype=np.float64)
     upper, lower = triu_flat(n)
-    stack, spare = np.empty((2, stack_block(n), n, n))
+    stack = np.empty((stack_block(n), n, n))
     flat = stack.reshape(-1)
     ones = np.ones(n)
 
@@ -193,8 +196,8 @@ def noisy_forward(params: GCNParams, adjacency: np.ndarray,
         flat[i] = flat[k] = 1.0 - flat[i]
         # Every entry is 0, 1 or 2, so the product's partial sums are
         # integers and it gives sum(axis=-1)'s degrees exactly.
-        Ahat = _scale(stack[:b], stack[:b] @ ones, spare[:b])[3]
-        return _logits(X, params.W1, params.W2, Ahat)
+        return _logits(X, params.W1, params.W2,
+                       _Ahat(stack[:b], stack[:b] @ ones))
     return logits_on
 
 
@@ -243,23 +246,27 @@ def _relu_mask(P, Z1):
 def _loss_view(Ahat, X, labels, weights):
     """(view, labels, weights) for _backward at the loss rows, the nodes
     whose weight is not zero: the view (Ahat X, Ahat's rows there, its
-    columns there) of Ahat or of each slice of an Ahat stack."""
+    columns there) of an _Ahat or of each slice of an _Ahat stack; the
+    columns are the rows' transposed view, faster for BLAS than a copy."""
     rows = np.flatnonzero(weights)
-    return ((Ahat @ X, Ahat[..., rows, :], Ahat[..., rows]), labels[rows],
+    A_rows = (Ahat.s[..., rows, :] * Ahat.Atil[..., rows, :]
+              * np.swapaxes(Ahat.s, -1, -2))
+    return ((Ahat @ X, A_rows, np.swapaxes(A_rows, -1, -2)), labels[rows],
             weights[rows])
 
 
 def _backward(W1, W2, view, labels, weights, kind, edge=None):
     """Weighted-sum loss over the loss rows with gradients w.r.t. W1, W2
-    and, given `edge` = (normalized, X, spare), the real adjacency
-    entries, via the normalization chain rule.  `view` is (Ahat X,
-    A_rows, A_cols), Ahat's rows and columns at the loss rows, whose
-    labels and weights are given; Ahat must be symmetric, because
-    A_cols stands for A_rows^T.  Without the adjacency gradient, views
-    and weights may be (B, ...) stacks of B models trained in lockstep;
-    the loss is then one value per model.  The adjacency gradient needs
-    every row, `normalized` the _normalize tuple of the adjacency, and
-    is built over its Ahat, its A + I and `spare`."""
+    and, given `edge` = (X, out), the real adjacency entries, via the
+    normalization chain rule.  `view` is (Ahat X, A_rows, A_cols),
+    Ahat's rows and columns at the loss rows, whose labels and weights
+    are given; Ahat must be symmetric, because A_cols stands for
+    A_rows^T.  Without the adjacency gradient, views and weights may be
+    (B, ...) stacks of B models trained in lockstep; the loss is then one
+    value per model.  The adjacency gradient needs every row, both A_rows
+    and A_cols the _Ahat whose product gave Ahat X, and returns, in the
+    (n, n) array `out`, M with the gradient of pair (i, j) at M[i, j]
+    before the XOR factor 1 - 2A."""
     AX, A_rows, A_cols = view
     Z1, H1, HW2, Z2 = _propagate(AX, W1, W2, A_rows)
     loss_rows, grad_rows = _loss_rows(Z2, labels, kind)
@@ -271,18 +278,29 @@ def _backward(W1, W2, view, labels, weights, kind, edge=None):
     gW1 = np.swapaxes(AX, -1, -2) @ GZ1
     if edge is None:
         return total, gW1, gW2, None
-    (Atil, deg, s, Ahat), X, spare = edge
+    # dL/dAhat = U V^T with U = [G2, GZ1] and V = [HW2, XW1]; then
+    # M = S (U V^T + V U^T) S - (c 1^T + 1 c^T) / 2 with c = deg^{-3/2}
+    # (rowsum(U o Atil S V) + rowsum(V o Atil S U)), as one product L R^T
+    # of the windows L = [SU, -c/2, SV, 1] and R = [SV, 1, SU, -c/2] of
+    # F = [SU, -c/2, SV, 1, SU, -c/2].
+    X, out = edge
+    AtSX, AtSHW2, AtSG2 = A_cols.inner
     XW1 = X @ W1
-    GA = np.matmul(G2, HW2.T, out=Ahat)
-    GA += np.matmul(GZ1, XW1.T, out=spare)
-    GAt = np.multiply(GA, Atil, out=Atil)
-    row_dot = GAt @ s
-    col_dot = GAt.T @ s
-    d32 = deg ** -1.5
-    GA *= np.einsum("i,j->ij", s, s, out=spare)  # now Gtil
-    GA -= (0.5 * (d32 * row_dot))[:, None]
-    GA -= (0.5 * (d32 * col_dot))[None, :]
-    return total, gW1, gW2, GA
+    C, k = G2.shape[1], G2.shape[1] + GZ1.shape[1]
+    F = np.empty((len(X), 3 * k + 3))
+    SU, SV = F[:, :k], F[:, k + 1:2 * k + 1]
+    for part, Y in ((SU[:, :C], G2), (SU[:, C:], GZ1), (SV[:, :C], HW2),
+                    (SV[:, C:], XW1)):
+        np.multiply(A_cols.s, Y, out=part)
+    dots = (np.einsum("ij,ij->i", G2, AtSHW2)
+            + np.einsum("ij,ij->i", GZ1, AtSX @ W1)
+            + np.einsum("ij,ij->i", HW2, AtSG2)
+            + np.einsum("ij,ij->i", XW1, A_cols.Atil @ SU[:, C:]))
+    F[:, k] = -0.5 * A_cols.deg ** -1.5 * dots
+    F[:, 2 * k + 1] = 1.0
+    F[:, 2 * k + 2:] = F[:, :k + 1]
+    return total, gW1, gW2, np.matmul(F[:, :2 * k + 2], F[:, k + 1:].T,
+                                      out=out)
 
 
 def weighted_logit_loss(logits: np.ndarray, labels: np.ndarray,
@@ -312,11 +330,11 @@ def param_gradients(params: GCNParams, adjacency_real: np.ndarray,
     """(loss, dL/dW1, dL/dW2) of the weighted masked loss; the adjacency
     must be symmetric."""
     X = np.asarray(features, dtype=np.float64)
-    Ahat = _normalize(_symmetric(adjacency_real))[3]
     w = _effective_weights(node_weights, mask, X.shape[0])
     total, gW1, gW2, _ = _backward(
-        params.W1, params.W2, *_loss_view(Ahat, X, np.asarray(labels), w),
-        kind)
+        params.W1, params.W2,
+        *_loss_view(_normalize(_symmetric(adjacency_real)), X,
+                    np.asarray(labels), w), kind)
     if not (np.isfinite(gW1).all() and np.isfinite(gW2).all()):
         raise NumericError("non-finite parameter gradient")
     return float(total), gW1, gW2
@@ -324,15 +342,15 @@ def param_gradients(params: GCNParams, adjacency_real: np.ndarray,
 
 class EdgeWorkspace:
     """gradients()' state on one adjacency, which must be symmetric and 0/1:
-    the factor 1 - 2A per pair and three (n, n) float buffers that each
-    call overwrites.  An attack keeps one for all its PGD steps, so no step
-    allocates an n x n array."""
+    the factor 1 - 2A per pair and two (n, n) float buffers that each call
+    overwrites, for A + I and the pair gradients.  An attack keeps one for
+    all its PGD steps, so no step allocates an n x n array."""
 
     def __init__(self, adjacency):
         self.adjacency = _binary_symmetric(adjacency)
-        n = self.adjacency.shape[0]
-        self.sign = 1.0 - 2.0 * self.adjacency[triu_mask(n)].astype(float)
-        self.buffers = np.empty((3, n, n))
+        self.upper = triu_flat(self.adjacency.shape[0])[0]
+        self.sign = 1.0 - 2.0 * np.take(self.adjacency, self.upper)
+        self.buffers = np.empty((2, *self.adjacency.shape))
 
 
 def gradients(params: GCNParams, adjacency: np.ndarray,
@@ -352,16 +370,14 @@ def gradients(params: GCNParams, adjacency: np.ndarray,
         work = EdgeWorkspace(adjacency)
     elif work.adjacency is not adjacency:
         raise ParameterError("the workspace belongs to another adjacency")
-    n = work.adjacency.shape[0]
-    Atil, Ahat, spare = work.buffers
-    normalized = _normalize(
-        relax_perturbation(work.adjacency, delta_relaxed, out=Atil), Ahat)
+    Ahat = _normalize(relax_perturbation(work.adjacency, delta_relaxed,
+                                         out=work.buffers[0]), copy=False)
     X = np.asarray(features, dtype=np.float64)
-    w = _effective_weights(node_weights, mask, n)
-    total, gW1, gW2, Gtil = _backward(
+    w = _effective_weights(node_weights, mask, len(work.adjacency))
+    total, gW1, gW2, M = _backward(
         params.W1, params.W2, (Ahat @ X, Ahat, Ahat), np.asarray(labels), w,
-        kind, (normalized, X, spare))
-    g_delta = work.sign * np.add(Gtil, Gtil.T, out=spare)[triu_mask(n)]
+        kind, (X, work.buffers[1]))
+    g_delta = work.sign * M.ravel()[work.upper]
     if not (np.isfinite(gW1).all() and np.isfinite(gW2).all()
             and np.isfinite(g_delta).all()):
         raise NumericError("non-finite gradient")
@@ -402,7 +418,7 @@ def train_arrays(adjacency_real: np.ndarray, features: np.ndarray,
     if A.ndim != 3 or len(seeds) != A.shape[0]:
         raise ParameterError("train on a (B, n, n) stack with B seeds")
     X = np.asarray(features, dtype=np.float64)
-    Ahat = _normalize(_symmetric(A))[3]
+    _symmetric(A)
     train_idx = np.asarray(train_idx, dtype=np.int64)
     if train_idx.size == 0:
         raise ParameterError("cannot train on an empty mask")
@@ -412,8 +428,10 @@ def train_arrays(adjacency_real: np.ndarray, features: np.ndarray,
     W2 = np.stack([p.W2 for p in inits])
     weights = np.zeros(X.shape[0])
     weights[train_idx] = 1.0 / train_idx.size
+    # A + I goes before the epoch loop, which reads only the view: kept
+    # alive, it made glibc trim and refault the heap at every epoch
     view, labels, weights = _loss_view(
-        Ahat, X, np.asarray(labels, dtype=np.int64), weights)
+        _normalize(A), X, np.asarray(labels, dtype=np.int64), weights)
     wd = config.weight_decay
     failed_at = np.full(len(seeds), -1)  # each model's first bad epoch
     for epoch in range(config.epochs):

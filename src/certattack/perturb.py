@@ -29,15 +29,6 @@ def triu_pairs(n: int):
 
 
 @lru_cache(maxsize=64)
-def triu_mask(n: int) -> np.ndarray:
-    """Boolean (n, n) mask of the strict upper triangle; indexing with it
-    walks the pairs in triu_pairs order."""
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
-    mask.setflags(write=False)
-    return mask
-
-
-@lru_cache(maxsize=64)
 def triu_flat(n: int):
     """Flat indices in an (n, n) C-order array of each pair's upper
     (r * n + c) and lower (c * n + r) entry, in triu_pairs order."""

@@ -16,11 +16,13 @@ the analytic gradients (criterion 4), and the fraction of perturbed
 edges at certified size <= 1 (criterion 8).
 
 The attack-step oracles at the end are the straightforward forms of the
-attack kernels (fancy-index scatters and gathers, np.outer terms, a
-full-array bisection, a full argsort), and the training-epoch oracles
+attack kernels (fancy-index scatters and gathers, np.hstack'ed factors,
+a full-array bisection, a full argsort), and the training-epoch oracles
 the straightforward forms of the loss and backward kernels (a max
 reduction, a fancy-index label term, an np.where ReLU mask); the kernels
-must match them bit for bit.
+must match them bit for bit.  gradients_dense is the edge gradient in
+another product order, through a dense Ahat and a dense gradient with
+respect to it; gradients() must match it up to rounding.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -271,43 +273,98 @@ def relax_scatter(adjacency, delta_relaxed):
     return A + (1.0 - 2.0 * A) * mirrored
 
 
-def gradients_outer(params, adjacency, delta_relaxed, features, labels,
-                    node_weights, mask, kind, work=None):
-    """gradients() with the edge gradient built from np.outer terms and
-    gathered at [rows, cols] and [cols, rows]; the forward pass and the
-    weight gradients are gcn's own building blocks.  Every array is
-    fresh: `work`, gradients()' buffer workspace, is ignored."""
-    A = np.asarray(adjacency, dtype=np.float64)
-    n = A.shape[0]
-    X = np.asarray(features, dtype=np.float64)
-    w = np.zeros(n)
-    mask = np.asarray(mask, dtype=np.int64)
-    w[mask] = np.asarray(node_weights, dtype=np.float64)[mask]
-    Atil, deg, s, Ahat = gcn._normalize(relax_scatter(A, delta_relaxed))
-    AX = Ahat @ X
-    Z1, H1, HW2, Z2 = gcn._propagate(AX, params.W1, params.W2, Ahat)
-    loss_rows, grad_rows = loss_rows_reduce(Z2, np.asarray(labels), kind)
-    total = loss_rows @ w
-    G2 = grad_rows * w[:, None]
-    AG2 = Ahat @ G2
-    gW2 = H1.T @ AG2
-    GZ1 = np.where(Z1 > 0.0, AG2 @ params.W2.T, 0.0)
-    gW1 = AX.T @ GZ1
-    GA = G2 @ HW2.T + GZ1 @ (X @ params.W1).T
-    GAt = GA * Atil
-    row_dot = GAt @ s
-    col_dot = GAt.T @ s
-    d32 = deg ** -1.5
-    Gtil = (GA * np.outer(s, s)
-            - 0.5 * np.outer(d32 * row_dot, np.ones(n))
-            - 0.5 * np.outer(np.ones(n), d32 * col_dot))
-    rows, cols = np.triu_indices(n, k=1)
-    sign = 1.0 - 2.0 * A[rows, cols]
-    g_delta = sign * (Gtil[rows, cols] + Gtil[cols, rows])
+def _pair_gradients(adjacency, M):
+    """The edge gradient from the (n, n) pair matrix M: its strict upper
+    triangle gathered at [rows, cols], times the XOR factor 1 - 2A."""
+    rows, cols = np.triu_indices(len(M), k=1)
+    return (1.0 - 2.0 * np.asarray(adjacency, dtype=np.float64)[rows, cols]
+            ) * M[rows, cols]
+
+
+def _edge_checked(total, gW1, gW2, g_delta):
     if not (np.isfinite(gW1).all() and np.isfinite(gW2).all()
             and np.isfinite(g_delta).all()):
         raise NumericError("non-finite gradient")
     return float(total), gW1, gW2, g_delta
+
+
+def _relaxed_inputs(adjacency, delta_relaxed, features, node_weights, mask):
+    """(A + I, its degrees, X, the weight vector) of gradients()' inputs,
+    in fresh arrays."""
+    A = np.asarray(adjacency, dtype=np.float64)
+    Atil = relax_scatter(A, delta_relaxed) + np.eye(len(A))
+    w = np.zeros(len(A))
+    mask = np.asarray(mask, dtype=np.int64)
+    w[mask] = np.asarray(node_weights, dtype=np.float64)[mask]
+    return Atil, Atil.sum(axis=1), np.asarray(features, dtype=np.float64), w
+
+
+def gradients_outer(params, adjacency, delta_relaxed, features, labels,
+                    node_weights, mask, kind, work=None):
+    """gradients() in its own product order, Ahat Y = s (Atil (s Y)) and
+    the pair gradients one product L R^T of the low-rank factors, but
+    with fresh arrays throughout: L and R side by side by np.hstack, the
+    ReLU mask by np.where, the losses from loss_rows_reduce and the
+    gradient gathered at [rows, cols].  `work`, gradients()' buffer
+    workspace, is ignored."""
+    Atil, deg, X, w = _relaxed_inputs(adjacency, delta_relaxed, features,
+                                      node_weights, mask)
+    W1, W2 = params.W1, params.W2
+    s = (deg ** -0.5)[:, None]
+    AtSX = Atil @ (s * X)
+    AX = s * AtSX
+    Z1 = AX @ W1
+    H1 = np.maximum(Z1, 0.0)
+    HW2 = H1 @ W2
+    AtSHW2 = Atil @ (s * HW2)
+    loss_rows, grad_rows = loss_rows_reduce(s * AtSHW2, np.asarray(labels),
+                                            kind)
+    G2 = grad_rows * w[:, None]
+    AtSG2 = Atil @ (s * G2)
+    AG2 = s * AtSG2
+    GZ1 = np.where(Z1 > 0.0, AG2 @ W2.T, 0.0)
+    XW1 = X @ W1
+    dots = (np.einsum("ij,ij->i", G2, AtSHW2)
+            + np.einsum("ij,ij->i", GZ1, AtSX @ W1)
+            + np.einsum("ij,ij->i", HW2, AtSG2)
+            + np.einsum("ij,ij->i", XW1, Atil @ (s * GZ1)))
+    half_c = (-0.5 * deg ** -1.5 * dots)[:, None]
+    ones = np.ones((len(X), 1))
+    L = np.hstack([s * G2, s * GZ1, half_c, s * HW2, s * XW1, ones])
+    R = np.hstack([s * HW2, s * XW1, ones, s * G2, s * GZ1, half_c])
+    return _edge_checked(loss_rows @ w, AX.T @ GZ1, H1.T @ AG2,
+                         _pair_gradients(adjacency, L @ R.T))
+
+
+def gradients_dense(params, adjacency, delta_relaxed, features, labels,
+                    node_weights, mask, kind, work=None):
+    """gradients() the dense way: Ahat built as (A + I) o s s^T, the
+    gradient w.r.t. Ahat as G2 HW2^T + GZ1 XW1^T, the normalization's
+    chain rule as row and column corrections of the dense Gtil, and the
+    pair gradient Gtil + Gtil^T at [rows, cols].  Another product order:
+    it matches gradients() up to rounding, not bit for bit."""
+    Atil, deg, X, w = _relaxed_inputs(adjacency, delta_relaxed, features,
+                                      node_weights, mask)
+    W1, W2 = params.W1, params.W2
+    s = deg ** -0.5
+    Ahat = Atil * np.outer(s, s)
+    AX = Ahat @ X
+    Z1 = AX @ W1
+    H1 = np.maximum(Z1, 0.0)
+    HW2 = H1 @ W2
+    loss_rows, grad_rows = loss_rows_reduce(Ahat @ HW2, np.asarray(labels),
+                                            kind)
+    G2 = grad_rows * w[:, None]
+    AG2 = Ahat @ G2
+    GZ1 = np.where(Z1 > 0.0, AG2 @ W2.T, 0.0)
+    GA = G2 @ HW2.T + GZ1 @ (X @ W1).T
+    GAt = GA * Atil
+    d32 = deg ** -1.5
+    Gtil = (GA * np.outer(s, s)
+            - 0.5 * np.outer(d32 * (GAt @ s), np.ones(len(X)))
+            - 0.5 * np.outer(np.ones(len(X)), d32 * (GAt.T @ s)))
+    return _edge_checked(loss_rows @ w, AX.T @ GZ1, H1.T @ AG2,
+                         _pair_gradients(adjacency, Gtil + Gtil.T))
 
 
 def project_bisect_full(relaxed, budget):
@@ -379,8 +436,9 @@ def loss_rows_reduce(logits, labels, kind):
 
 def backward_where(W1, W2, view, labels, weights, kind, edge=None):
     """gcn._backward with the ReLU mask by np.where, the losses from
-    loss_rows_reduce and the edge gradient in fresh arrays; `edge` only
-    asks for the edge gradient, and no input is written."""
+    loss_rows_reduce and the pair matrix in fresh arrays, L and R side by
+    side by np.hstack; `edge` only asks for the pair matrix, which reads
+    the products A_cols keeps, and no array is written."""
     AX, A_rows, A_cols = view
     Z1, H1, HW2, Z2 = gcn._propagate(AX, W1, W2, A_rows)
     loss_rows, grad_rows = loss_rows_reduce(Z2, labels, kind)
@@ -392,12 +450,15 @@ def backward_where(W1, W2, view, labels, weights, kind, edge=None):
     gW1 = np.swapaxes(AX, -1, -2) @ GZ1
     if edge is None:
         return total, gW1, gW2, None
-    (Atil, deg, s, _), X, _ = edge
-    GA = G2 @ HW2.T + GZ1 @ (X @ W1).T
-    GAt = GA * Atil
-    row_dot = GAt @ s
-    col_dot = GAt.T @ s
-    d32 = deg ** -1.5
-    Gtil = (GA * (s[:, None] * s[None, :]) - (0.5 * (d32 * row_dot))[:, None]
-            - (0.5 * (d32 * col_dot))[None, :])
-    return total, gW1, gW2, Gtil
+    X, _ = edge
+    AtSX, AtSHW2, AtSG2 = A_cols.inner
+    s, XW1 = A_cols.s, X @ W1
+    dots = (np.einsum("ij,ij->i", G2, AtSHW2)
+            + np.einsum("ij,ij->i", GZ1, AtSX @ W1)
+            + np.einsum("ij,ij->i", HW2, AtSG2)
+            + np.einsum("ij,ij->i", XW1, A_cols.Atil @ (s * GZ1)))
+    half_c = (-0.5 * A_cols.deg ** -1.5 * dots)[:, None]
+    ones = np.ones((len(X), 1))
+    L = np.hstack([s * G2, s * GZ1, half_c, s * HW2, s * XW1, ones])
+    R = np.hstack([s * HW2, s * XW1, ones, s * G2, s * GZ1, half_c])
+    return total, gW1, gW2, L @ R.T

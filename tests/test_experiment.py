@@ -252,6 +252,38 @@ class TestRunSweep:
         assert main(["sweep", "--config", str(tmp_path / "config.ini"),
                      "--resume"]) == 1
 
+    @pytest.mark.parametrize("crash_at", range(3),
+                             ids=["raw_results", "summary", "timings"])
+    def test_crash_while_writing_keeps_the_previous_csvs(
+            self, tmp_path, monkeypatch, crash_at):
+        # the CSVs are written in this order; the crashing one must keep
+        # its previous bytes for --resume, and no temp file may be left
+        config = parse_config(write_config(tmp_path, seeds="0,1",
+                                           values="uniform"))
+        run_sweep(config)
+        out = tmp_path / "out"
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(before) == ["raw_results.csv", "summary.csv",
+                                  "timings.csv"]
+        written, real_writer = [], csv.writer
+
+        class Crashing:  # writes the header, then fails at the rows
+            def __init__(self, fh):
+                self.writer = real_writer(fh)
+                self.writerow = self.writer.writerow
+
+            def writerows(self, records):
+                written.append(1)
+                if len(written) > crash_at:
+                    raise OSError("no space left on device")
+                self.writer.writerows(records)
+
+        monkeypatch.setattr(csv, "writer", Crashing)
+        with pytest.raises(OSError, match="no space"):
+            run_sweep(config, resume=True)
+        assert {path.name: path.read_bytes()
+                for path in out.iterdir()} == before
+
     @pytest.mark.parametrize("line, field, text", [
         (1, 3, "attack_s"), (2, 3, "fast"), (3, 4, None)],
         ids=["foreign-header", "seconds", "missing-field"])

@@ -14,24 +14,30 @@ from certattack import (CROSS_ENTROPY, DomainError, GCNParams, LossKind,
                         save_params, split_nodes, synth_sbm, train,
                         train_arrays, weighted_logit_loss)
 from certattack import gcn
-from oracles import (backward_where, central_difference, gradients_outer,
-                     loss_rows_reduce, node_loss, weighted_loss)
+from oracles import (backward_where, central_difference, gradients_dense,
+                     gradients_outer, loss_rows_reduce, node_loss,
+                     weighted_loss)
+
+
+def _ahat(adjacency):
+    """Ahat as a matrix: the normalized propagation of the identity."""
+    return gcn._normalize(adjacency) @ np.eye(len(adjacency))
 
 
 class TestNormalize:
     def test_isolated_nodes_become_identity(self):
-        out = gcn._normalize(np.zeros((2, 2)))[3]
+        out = _ahat(np.zeros((2, 2)))
         assert np.allclose(out, np.eye(2))
 
     def test_complete_pair(self):
         adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(gcn._normalize(adj)[3], np.full((2, 2), 0.5))
+        assert np.allclose(_ahat(adj), np.full((2, 2), 0.5))
 
     def test_matches_scalar_formula(self):
         rng = np.random.default_rng(5)
         upper = np.triu(rng.random((5, 5)), k=1)
         adj = upper + upper.T
-        out = gcn._normalize(adj)[3]
+        out = _ahat(adj)
         atil = adj + np.eye(5)
         deg = atil.sum(axis=1)
         for i in range(5):
@@ -179,14 +185,13 @@ class TestEpochKernels:
         labels = np.where(rng.random(30) < 0.3, -1, g.labels)
         weights = np.where(labels < 0, 0.0, rng.random(30))
 
-        def args():  # the edge gradient writes its normalized tuple
-            normalized = gcn._normalize(adjacency)
-            Ahat = normalized[3]
+        def args():  # the edge gradient reads the products Ahat keeps
+            Ahat = gcn._normalize(adjacency)
             if not edge:  # the loss rows, as training and param_gradients
                 return (*gcn._loss_view(Ahat, g.features, labels, weights),
                         kind)
             return ((Ahat @ g.features, Ahat, Ahat), labels, weights, kind,
-                    (normalized, g.features, np.empty((30, 30))))
+                    (g.features, np.empty((30, 30))))
         want = backward_where(W1, W2, *args())
         ours = gcn._backward(W1, W2, *args())
         _assert_same_bits(ours, want)
@@ -326,6 +331,30 @@ class TestGradients:
         with pytest.raises(DomainError, match="symmetric"):
             param_gradients(init_params(4, 5, 2, seed=3), adjacency,
                             g.features, g.labels, np.ones(12), np.arange(12))
+
+    @pytest.mark.parametrize("kind", [LossKind("cross_entropy"),
+                                      LossKind("cw_margin", kappa=0.5)],
+                             ids=["ce", "cw"])
+    @pytest.mark.parametrize("support", ["dense", "sparse"])
+    @pytest.mark.parametrize("n", [4, 30, 100])
+    def test_matches_dense_form(self, n, support, kind):
+        # the low-rank product order against the dense Gtil form, on
+        # real-valued relaxed adjacencies: equal up to rounding, relative
+        # to each entry and, where the mirrored terms cancel, to the
+        # largest entry
+        g = synth_sbm(n, 2, 0.5, 0.1, 4, seed=n)
+        params = init_params(4, 5, 2, seed=n)
+        rng = np.random.default_rng(n)
+        delta = rng.uniform(0.01, 1.0, num_pairs(n))  # every pair nonzero
+        if support == "sparse":
+            delta *= rng.random(delta.size) < 0.2
+        mask = np.flatnonzero(rng.random(n) < 0.6)
+        args = (params, g.adjacency, delta, g.features, g.labels,
+                rng.random(n), mask, kind)
+        for ours, want in zip(gradients(*args), gradients_dense(*args),
+                              strict=True):
+            np.testing.assert_allclose(
+                ours, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     @given(st.integers(min_value=0, max_value=2 ** 31),
            st.integers(min_value=1, max_value=12),

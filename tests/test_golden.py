@@ -10,6 +10,7 @@ numpy, scipy and BLAS build that tests/golden/build.txt names.  Another
 build may round differently; a mismatch there is a finding to report,
 not a reason to regenerate.
 """
+import importlib.util
 from hashlib import sha256
 from pathlib import Path
 
@@ -151,7 +152,8 @@ def training_outputs() -> dict:
 
 def test_evasion_outputs_match_golden_files():
     # counts cannot see a moved bit in the noisy forward (a one-ulp change
-    # in _scale leaves all 240 rows equal), so the logits' digest carries it
+    # in the degree scaling leaves all 240 rows equal), so the logits'
+    # digest carries it
     for name, text in evasion_outputs().items():
         assert text == (GOLDEN / name).read_text(), mismatch(name)
 
@@ -161,3 +163,19 @@ def test_training_outputs_match_golden_files():
     # digests carry it
     for name, text in training_outputs().items():
         assert text == (GOLDEN / name).read_text(), mismatch(name)
+
+
+def test_regen_reports_what_moved():
+    spec = importlib.util.spec_from_file_location("regen",
+                                                  GOLDEN / "regen.py")
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    old = b"node,count_0,count_1\r\n3,10,50\r\n7,60,0\r\n9,1,59\r\n"
+    new = b"node,count_0,count_1\r\n3,13,47\r\n7,60,0\r\n9,0,60\r\n"
+    assert regen.report(COUNTS, old, old) == []
+    assert regen.report(COUNTS, old, new) == [
+        f"{COUNTS}: 2 of 4 rows differ, largest count shift 3",
+        "  - 3,10,50", "  + 3,13,47", "  - 9,1,59", "  + 9,0,60"]
+    assert regen.report(LOGITS, b"0 ab\n1 cd\n", b"0 ab\n1 ef\n2 gh\n") == [
+        f"{LOGITS}: 2 of 3 digests differ (2 before)", "  - 1 cd", "  + 1 ef",
+        "  + 2 gh"]

@@ -279,10 +279,14 @@ class TestStackedScorer:
             want = ["finite", "output", "hidden"]
         else:
             graph, params = exactness_case(100)
-            # W1 x 2.8e308, in two finite factors, is finite, while a
-            # partial sum of (Ahat X) W1 is not
-            params = GCNParams(params.W1 * (1e308 if case == "W1" else 1e3)
-                               * (2.8 if case == "W1" else 1.0),
+            if case == "W1":
+                # the features and W1 times 1e155 each are finite, while
+                # the largest final |(Ahat X) W1| of graph 0 is about
+                # 0.62e310, 35 times the largest double: it overflows on
+                # any summation order
+                graph = Graph(graph.adjacency, graph.features * 1e155,
+                              graph.labels, graph.num_classes)
+            params = GCNParams(params.W1 * (1e155 if case == "W1" else 1e3),
                                params.W2 * (1e308 if case == "W2" else 1.0))
             lists = noise_flips(NoiseSpec(0.9), 100,
                                 SmoothingConfig(10, 0.1))

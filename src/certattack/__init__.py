@@ -28,9 +28,9 @@ from .perturb import (Perturbation, apply_perturbation, num_pairs,
                       relax_perturbation, triu_pairs)
 from .smoothing import (Certificate, NoiseSpec, SmoothingConfig,
                         certificates_from_counts, certified_size,
-                        lower_bound_prob, mc_counts_evasion,
+                        certified_sizes, lower_bound_prob, mc_counts_evasion,
                         mc_counts_poisoning, mix_seed, noise_flips,
-                        sample_noise, worst_case_retained,
+                        sample_noise, size_function, worst_case_retained,
                         write_certificates_csv)
 
 __version__ = "0.1.0"

@@ -19,9 +19,10 @@ from .gcn import (CROSS_ENTROPY, EdgeWorkspace, GCNParams, LossKind,
 from .graph import DataSplit, Graph, classification_accuracy
 from .perturb import (Perturbation, apply_perturbation, num_pairs,
                       relax_perturbation, triu_pairs)
-from .smoothing import (Certificate, NoiseSpec, SmoothingConfig,
-                        certificates_from_counts, mc_counts_evasion,
-                        mc_counts_poisoning, mix_seed, noise_flips)
+from .smoothing import (NoiseSpec, SmoothingConfig, certificates_from_counts,
+                        certified_sizes, mc_counts_evasion,
+                        mc_counts_poisoning, mix_seed, noise_flips,
+                        size_function)
 
 WEIGHT_SCHEMES = ("uniform", "random", "degree", "centrality", "certified")
 CENTRALITY_ITERATIONS = 100
@@ -113,9 +114,10 @@ def eigenvector_centrality(adjacency: np.ndarray) -> np.ndarray:
     return x / top if top > 0 else np.ones(n)
 
 
-def node_weights(scheme: WeightScheme, certificates: list[Certificate] | None,
+def node_weights(scheme: WeightScheme, sizes: np.ndarray | None,
                  graph: Graph, target_nodes: np.ndarray) -> np.ndarray:
-    """Weights for the target nodes under the chosen scheme."""
+    """Weights for the target nodes under the chosen scheme; the certified
+    scheme reads sizes, the targets' certified sizes K in target order."""
     targets = np.asarray(target_nodes, dtype=np.int64)
     if scheme.tag == "uniform":
         return np.ones(targets.size)
@@ -130,12 +132,10 @@ def node_weights(scheme: WeightScheme, certificates: list[Certificate] | None,
     if scheme.tag == "centrality":
         cen = eigenvector_centrality(graph.adjacency)
         return expit(-scheme.a * cen[targets])
-    if (certificates is None
-            or [cert.node for cert in certificates] != targets.tolist()):
-        raise ParameterError("certified scheme needs one certificate per "
+    if sizes is None or np.shape(sizes) != targets.shape:
+        raise ParameterError("certified scheme needs one certified size per "
                              "target node, in target order")
-    sizes = np.array([cert.certified_size for cert in certificates])
-    return expit(-scheme.a * sizes)
+    return expit(-scheme.a * np.asarray(sizes))
 
 
 def project_budget(relaxed: np.ndarray, budget: int) -> np.ndarray:
@@ -224,14 +224,18 @@ def certifier(mode: str, graph: Graph, split: DataSplit,
               train_config: TrainConfig | None, config: AttackConfig,
               params: GCNParams | None = None):
     """(targets, labels, certify) of a threat model: certify(adjacency) ->
-    the targets' certificates on that graph, for the attack's refreshes
-    and for `certattack certify` alike.
+    the targets' certificates on that graph, from all N samples, for
+    `certattack certify`; certify(adjacency, refresh=True) -> only their
+    certified sizes K, for the attack's refreshes.  One size function K
+    serves every call, so each count is bounded and scanned once.
 
     Evasion certifies the fixed model params on the test nodes with flip
     lists drawn at the first call and kept while they fit in FLIP_BYTES.
     Poisoning certifies the train nodes with replicates trained on labels
-    set to -1 outside the train mask; only it reads train_config.
+    set to -1 outside the train mask; only it reads train_config, and a
+    refresh stops training replicates once every K is decided.
     """
+    size = size_function(config.noise, config.smoothing)
     if mode == "evasion":
         targets, labels = split.test, graph.labels
 
@@ -239,7 +243,7 @@ def certifier(mode: str, graph: Graph, split: DataSplit,
         def flips():
             return noise_flips(config.noise, graph.n, config.smoothing)
 
-        def counts(adjacency):
+        def counts(adjacency, stop):  # stopping early gains evasion nothing
             return mc_counts_evasion(params, adjacency, graph.features,
                                      targets, config.noise, config.smoothing,
                                      flips())
@@ -248,17 +252,21 @@ def certifier(mode: str, graph: Graph, split: DataSplit,
         labels = np.where(np.isin(np.arange(graph.n), targets),
                           graph.labels, -1)
 
-        def counts(adjacency):
+        def counts(adjacency, stop):
             return mc_counts_poisoning(adjacency, graph.features, labels,
                                        targets, train_config, targets,
                                        config.noise, config.smoothing,
-                                       graph.num_classes)
+                                       graph.num_classes, stop)
     else:
         raise ParameterError(f"unknown certification mode {mode!r}")
 
-    def certify(adjacency):
-        return certificates_from_counts(counts(adjacency), targets, labels,
-                                        config.noise, config.smoothing)
+    def certify(adjacency, refresh=False):
+        if refresh:
+            return certified_sizes(counts(adjacency, size), labels[targets],
+                                   size)
+        return certificates_from_counts(counts(adjacency, None), targets,
+                                        labels, config.noise,
+                                        config.smoothing, size)
 
     return targets, labels, certify
 
@@ -271,8 +279,9 @@ def _attack_loop(graph: Graph, split: DataSplit, certification,
 
     certification is certifier's (targets, labels, certify).  The
     certified scheme refreshes its weights every refresh_interval
-    iterations from certify(snapshot) on the binarized snapshot of the
-    current perturbation; other schemes compute their weights once.
+    iterations from certify(snapshot, refresh=True), the certified sizes
+    on the binarized snapshot of the current perturbation; other schemes
+    compute their weights once.
     model_step(model, delta, w_full) -> model, when given, runs before
     each ascent step.  The discretized perturbation is scored by
     evaluate_attack with model_on(adjacency) -> the model to test.
@@ -291,13 +300,13 @@ def _attack_loop(graph: Graph, split: DataSplit, certification,
     work = EdgeWorkspace(A)  # the PGD steps' buffers, for this attack only
     for t in range(config.iterations):
         if t == 0 or (certified and t % config.refresh_interval == 0):
-            certs = None
+            sizes = None
             if certified:
                 tick = time.perf_counter()
-                certs = certify(apply_perturbation(
-                    A, top_delta_binary(delta, config.budget)))
+                sizes = certify(apply_perturbation(
+                    A, top_delta_binary(delta, config.budget)), refresh=True)
                 cert_seconds += time.perf_counter() - tick
-            w_targets = node_weights(config.scheme, certs, graph, targets)
+            w_targets = node_weights(config.scheme, sizes, graph, targets)
             w_full[targets] = w_targets
             weights_history.append((t, w_targets))
         if model_step is not None:

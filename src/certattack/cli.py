@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 config error, 2 runtime failure, 3 partial sweep.
 """
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from .experiment import (parse_config, parse_key, prepare_cell,
                          runtime_profile)
 from .gcn import load_params, predict_all, save_params, train
 from .graph import classification_accuracy
-from .smoothing import read_certificates_csv, write_certificates_csv
+from .smoothing import (read_certificates_csv, size_function,
+                        write_certificates_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -121,7 +123,14 @@ def cmd_certify(args) -> int:
     path = _output(config.out_dir, "certificates.csv")
     write_certificates_csv(certs, attack.noise, attack.smoothing, path)
     certified = sum(1 for c in certs if c.certified_size > 0)
-    print(f"{len(certs)} nodes certified ({certified} with K > 0) -> {path}")
+    N = attack.smoothing.num_samples
+    with warnings.catch_warnings():  # only certify warns of saturation
+        warnings.simplefilter("ignore")
+        k_max = size_function(attack.noise, attack.smoothing)(N)
+    print(f"{len(certs)} nodes certified ({certified} with K > 0, "
+          f"K_max {k_max} at N={N}) -> {path}")
+    if k_max == 0:
+        print("K_max is 0, so every certified weight is expit(0) = 0.5")
     return EXIT_OK
 
 

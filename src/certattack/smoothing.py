@@ -128,7 +128,7 @@ def mc_counts_poisoning(adjacency: np.ndarray, features: np.ndarray,
                         labels: np.ndarray, train_idx: np.ndarray,
                         train_config: TrainConfig, target_nodes: np.ndarray,
                         spec: NoiseSpec, config: SmoothingConfig,
-                        num_classes: int) -> np.ndarray:
+                        num_classes: int, size=None) -> np.ndarray:
     """Label counts from N classifiers trained on independently noised graphs.
 
     Replicate j trains on A xor eps_j with a seed derived from
@@ -136,6 +136,12 @@ def mc_counts_poisoning(adjacency: np.ndarray, features: np.ndarray,
     graph.  Replicates train in stacked blocks of stack_block(n);
     a divergence names the lowest failing replicate and its own epoch,
     exactly as it fails alone.
+
+    With size, the K of size_function(spec, config), training stops after
+    the first block from which no further replicate can change any
+    target's K (see _decided; the targets' labels must be known).  The
+    counts are then those of the replicates trained so far: good for
+    certified_sizes, but not for a bound, which needs all N.
     """
     targets = np.asarray(target_nodes, dtype=np.int64)
     counts = np.zeros((targets.size, num_classes), dtype=np.int64)
@@ -156,7 +162,23 @@ def mc_counts_poisoning(adjacency: np.ndarray, features: np.ndarray,
         for params_j, noisy_j in zip(models, noisy):
             preds = predict_all(params_j, noisy_j, features)
             counts[rows, preds[targets]] += 1
+        if size is not None and _decided(size, counts[rows, labels[targets]],
+                                         js.stop, config.num_samples):
+            break
     return counts
+
+
+def _decided(size, true_counts: np.ndarray, done: int, total: int) -> bool:
+    """Whether the votes of replicates done..total-1 can change no target's
+    certified size.  They cannot if, for each true-label count c so far,
+    K(c) == K(c + total - done), which fixes K on every count in between
+    because K never falls as c grows, and K(c) > 0 only where c is already
+    a strict majority of total, so the true label stays the smoothed one.
+    With alpha <= 1/2 the second holds whenever K(c) > 0, since the bound
+    lies at or below c / total; a larger alpha is checked."""
+    return all(size(c) == size(c + total - done)
+               and (size(c) == 0 or 2 * c > total)
+               for c in true_counts.tolist())
 
 
 def lower_bound_prob(count: int, total: int, alpha: float) -> float:
@@ -238,27 +260,52 @@ def certified_size(p_lower: float, spec: NoiseSpec,
     return r_max
 
 
-def certificates_from_counts(counts: np.ndarray, target_nodes: np.ndarray,
-                             labels: np.ndarray, spec: NoiseSpec,
-                             config: SmoothingConfig) -> list[Certificate]:
-    """One certificate per target node from its row of label counts; the
-    bound and the size are computed once per distinct true-label count."""
+def size_function(spec: NoiseSpec, config: SmoothingConfig):
+    """K(c): the certified size of a node whose true label won c of the N
+    votes and is its smoothed label, certified_size of the count's
+    lower_bound_prob, or 0 when that bound is at most 1/2.  K is a
+    non-decreasing step function of c.  K and K.bound, the count's
+    bound, are cached per count, so one K scans each count once."""
     bound = functools.cache(lambda count: lower_bound_prob(
         count, config.num_samples, config.alpha))
-    size_of = functools.cache(lambda p_low: certified_size(
-        p_low, spec, DEFAULT_RADIUS_CAP))
-    certs = []
-    for i, node in enumerate(np.asarray(target_nodes, dtype=np.int64)):
-        row = counts[i]
-        smoothed = int(np.argmax(row))
-        true_label = int(labels[node])
-        p_low = bound(int(row[true_label]))
-        size = 0
-        if smoothed == true_label and p_low > 0.5:
-            size = size_of(p_low)
-        certs.append(Certificate(int(node), true_label, row.copy(), smoothed,
-                                 p_low, size, size == DEFAULT_RADIUS_CAP))
-    return certs
+
+    @functools.cache
+    def size(count: int) -> int:
+        p_low = bound(count)
+        return (certified_size(p_low, spec, DEFAULT_RADIUS_CAP)
+                if p_low > 0.5 else 0)
+
+    size.bound = bound
+    return size
+
+
+def certified_sizes(counts: np.ndarray, true_labels: np.ndarray,
+                    size) -> np.ndarray:
+    """The certified size K of each row of label counts: size's K of the
+    row's true-label count where that label is the row's argmax, else 0."""
+    true_counts = counts[np.arange(len(counts)), true_labels]
+    wins = counts.argmax(axis=1) == true_labels
+    return np.array([size(c) if win else 0 for c, win
+                     in zip(true_counts.tolist(), wins)], dtype=np.int64)
+
+
+def certificates_from_counts(counts: np.ndarray, target_nodes: np.ndarray,
+                             labels: np.ndarray, spec: NoiseSpec,
+                             config: SmoothingConfig,
+                             size=None) -> list[Certificate]:
+    """One certificate per target node from its row of all N label counts,
+    with size's K, by default a new size_function(spec, config)."""
+    if size is None:
+        size = size_function(spec, config)
+    targets = np.asarray(target_nodes, dtype=np.int64)
+    true_labels = np.asarray(labels)[targets]
+    sizes = certified_sizes(counts, true_labels, size)
+    return [Certificate(node, label, row.copy(), int(np.argmax(row)),
+                        size.bound(int(row[label])), k,
+                        k == DEFAULT_RADIUS_CAP)
+            for node, label, row, k in zip(targets.tolist(),
+                                           true_labels.tolist(), counts,
+                                           sizes.tolist())]
 
 
 def write_certificates_csv(certs: list[Certificate], spec: NoiseSpec,

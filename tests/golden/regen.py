@@ -21,7 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from test_golden import (FILES, GOLDEN, MODES, build,  # noqa: E402
+from test_golden import (FILES, GOLDEN, SWEEPS, build,  # noqa: E402
                          evasion_outputs, training_outputs, write_outputs)
 
 SHOWN = 10  # differing lines printed per file
@@ -32,10 +32,10 @@ def outputs() -> dict:
     writes there."""
     texts = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for mode in MODES:
-            out = write_outputs(Path(tmp), mode)
+        for sweep in SWEEPS:
+            out = write_outputs(Path(tmp), sweep)
             for name in FILES:
-                texts[f"{mode}/{name}"] = (out / name).read_bytes()
+                texts[f"{sweep}/{name}"] = (out / name).read_bytes()
     for name, text in {**evasion_outputs(), **training_outputs(),
                        "build.txt": build()}.items():
         texts[name] = text.encode()

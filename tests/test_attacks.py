@@ -1,4 +1,7 @@
+import sys
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,15 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from certattack import (AttackConfig, Certificate, LossKind, NoiseSpec,
-                        ParameterError, SmoothingConfig, TrainConfig,
-                        WeightScheme, apply_perturbation, certifier,
-                        discretize,
+from certattack import (AttackConfig, CertificationError, LossKind,
+                        NoiseSpec, ParameterError, SmoothingConfig,
+                        TrainConfig, TrainingError, WeightScheme,
+                        apply_perturbation, certifier, discretize,
                         eigenvector_centrality, evaluate_attack, forward,
                         gradients, init_params, minmax_poisoning,
                         node_weights, parse_config, pgd_evasion,
                         prepare_cell, project_budget, split_nodes,
-                        synth_sbm, top_delta_binary, train)
+                        size_function, synth_sbm, top_delta_binary, train)
 from certattack import attacks, smoothing
 from certattack.graph import DataSplit, Graph
 from oracles import (certify_nodes, discretize_masked, gradients_outer,
@@ -23,18 +26,15 @@ from oracles import (certify_nodes, discretize_masked, gradients_outer,
                      top_budget_argsort, weighted_loss)
 from test_experiment import readme_config
 
-
-def make_certs(nodes, sizes):
-    return [Certificate(int(v), 0, np.array([1, 0]), 0, 0.9, int(k))
-            for v, k in zip(nodes, sizes)]
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import build_config  # noqa: E402
 
 
 class TestNodeWeights:
     def test_certified_values(self, sbm_graph):
         targets = np.array([0, 1, 2])
-        certs = make_certs(targets, [0, 2, 1])
-        w = node_weights(WeightScheme("certified", a=1.0), certs, sbm_graph,
-                         targets)
+        w = node_weights(WeightScheme("certified", a=1.0), np.array([0, 2, 1]),
+                         sbm_graph, targets)
         assert w[0] == pytest.approx(0.5)
         assert w[1] == pytest.approx(1.0 / (1.0 + np.exp(2.0)), rel=1e-9)
         assert w[1] == pytest.approx(0.11920, abs=1e-5)
@@ -46,9 +46,9 @@ class TestNodeWeights:
 
     def test_certified_monotone_in_size(self, sbm_graph):
         targets = np.arange(6)
-        certs = make_certs(targets, [0, 1, 2, 3, 5, 9])
+        sizes = np.array([0, 1, 2, 3, 5, 9])
         for a in (0.5, 1.0, 3.0):
-            w = node_weights(WeightScheme("certified", a=a), certs, sbm_graph,
+            w = node_weights(WeightScheme("certified", a=a), sizes, sbm_graph,
                              targets)
             assert np.all(np.diff(w) < 0)
 
@@ -89,11 +89,11 @@ class TestNodeWeights:
         assert np.allclose(eigenvector_centrality(graph.adjacency),
                            leading / leading.max(), rtol=0.0, atol=1e-6)
 
-    def test_out_of_order_certificates_rejected(self, sbm_graph):
-        certs = make_certs([1, 0, 2], [0, 1, 2])
-        with pytest.raises(ParameterError, match="target order"):
-            node_weights(WeightScheme("certified"), certs, sbm_graph,
-                         np.arange(3))
+    def test_one_size_per_target_required(self, sbm_graph):
+        for sizes in ([0, 1], [0, 1, 2, 3], [[0, 1, 2]]):
+            with pytest.raises(ParameterError, match="target order"):
+                node_weights(WeightScheme("certified"), np.array(sizes),
+                             sbm_graph, np.arange(3))
 
 
 class TestCrLoss:
@@ -530,6 +530,152 @@ class TestCertifier:
                       params)
 
 
+def scripted_certifier(monkeypatch, votes, true_labels, spec, config, block,
+                       diverging=None):
+    """certifier("poisoning") on an edgeless graph whose train nodes are
+    the targets, with noise and training replaced by a script: replicate j
+    votes votes[j] at the targets, replicates train in blocks of `block`,
+    and a block holding replicate `diverging` fails as a diverging
+    training does.  Returns certify and the list of replicates trained."""
+    N, T = votes.shape
+    n = T + 1
+    graph = Graph(np.zeros((n, n), np.int8), np.zeros((n, 1)),
+                  np.append(true_labels, 0), num_classes=3)
+    split = DataSplit(np.arange(T), np.array([], np.int64),
+                      np.array([T]), n)
+    trained = []
+
+    def train_arrays(noisy, features, labels, train_idx, config, C, js):
+        trained.extend(js)
+        if diverging in js:
+            raise TrainingError("diverged at epoch 1", js.index(diverging))
+        return js
+
+    def predict_all(j, adjacency, features):
+        return np.append(votes[j], 0)
+
+    monkeypatch.setattr(smoothing, "train_arrays", train_arrays)
+    monkeypatch.setattr(smoothing, "predict_all", predict_all)
+    monkeypatch.setattr(smoothing, "stack_block", lambda n: block)
+    monkeypatch.setattr(smoothing, "mix_seed", lambda seed, j: j)
+    monkeypatch.setattr(smoothing, "sample_noise", lambda *args: None)
+    monkeypatch.setattr(smoothing, "apply_perturbation", lambda A, mask: A)
+    attack = AttackConfig(budget=1, smoothing=config, noise=spec)
+    _, _, certify = certifier("poisoning", graph, split, TrainConfig(),
+                              attack)
+    return certify, graph.adjacency, trained
+
+
+def vote_script(rng, true_labels, true_counts, N, order):
+    """(N, targets) votes: target i gets true_counts[i] votes for its
+    label and the rest for the next class mod 3, in a random order, or
+    with the true votes first ("early") or last ("late")."""
+    votes = np.empty((N, len(true_labels)), np.int64)
+    for i, (label, c) in enumerate(zip(true_labels, true_counts)):
+        column = np.append(np.full(c, label), np.full(N - c, (label + 1) % 3))
+        if order == "random":
+            column = rng.permutation(column)
+        elif order == "late":
+            column = column[::-1]
+        votes[:, i] = column
+    return votes
+
+
+class TestRefreshStopRule:
+    """A poisoning refresh, certify(A, refresh=True), stops training
+    replicates after the first block from which no further vote can change
+    any target's K; its K vector equals the one from all N votes."""
+
+    # id -> (beta, N, alpha, DEFAULT_RADIUS_CAP, block)
+    GRID = {
+        # poisoning-cert's (beta, N, alpha): K = 1 needs 60 of 60
+        "poisoning-cert": (0.9, 60, 0.1, None, 10),
+        # K = 1 and K = 2 need 1957 and 2000 of 2000
+        "beta0.95-N2000": (0.95, 2000, 0.1, None, 100),
+        # the README's noise: K(N) = 0, so every refresh stops at once
+        "K_max-0": (0.999, 200, 0.1, None, 10),
+        # K(c) reaches the cap 3 from c = 160 on and stays there
+        "saturated": (0.6, 200, 0.1, 3, 10),
+        # K(10) = K(20) = 2 at the cap, without a majority at c = 10
+        "alpha0.99": (0.6, 20, 0.99, 2, 2),
+    }
+
+    @pytest.mark.parametrize("point", GRID)
+    def test_sizes_match_all_votes(self, monkeypatch, point):
+        beta, N, alpha, cap, block = self.GRID[point]
+        if cap is not None:
+            monkeypatch.setattr(smoothing, "DEFAULT_RADIUS_CAP", cap)
+        spec, config = NoiseSpec(beta), SmoothingConfig(N, alpha, seed=1)
+        K = size_function(spec, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # saturated scans
+            steps = sorted({c for c in range(1, N + 1) if K(c) > K(c - 1)})
+        counts = {0, N // 2, N // 2 + 1, N - 1, N}
+        counts |= {c + d for c in steps for d in (-1, 0, 1) if 0 <= c + d <= N}
+        rng = np.random.default_rng(N)
+        scenarios = [(np.full(3, N), "random")]  # every target unanimous
+        for c in sorted(counts):
+            for order in ("random", "early", "late"):
+                scenarios += [(np.array([c, c]), order), (np.array(
+                    [c, rng.choice(sorted(counts))]), order)]
+        stopped = 0
+        for true_counts, order in scenarios:
+            # a first target of label 2 loses a tie to its dissent class 0
+            true_labels = (2 - np.arange(len(true_counts))) % 3
+            votes = vote_script(rng, true_labels, true_counts, N, order)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                certify, A, trained = scripted_certifier(
+                    monkeypatch, votes, true_labels, spec, config, block)
+                full = [cert.certified_size for cert in certify(A)]
+                assert len(trained) == N
+                trained.clear()
+                assert certify(A, refresh=True).tolist() == full, (
+                    true_counts, order)
+            assert trained == list(range(len(trained)))
+            assert len(trained) % block == 0 or len(trained) == N
+            stopped += len(trained) < N
+            if K(N) == 0:
+                assert len(trained) == block
+        assert 0 < stopped and (K(N) == 0 or stopped < len(scenarios))
+
+    @pytest.mark.parametrize("seed", [6, 9, 11])
+    def test_poisoning_cert_cells(self, monkeypatch, seed):
+        # real training on poisoning-cert's full config: cell 6 stops after
+        # one block, cells 9 and 11 certify K = 1 and train all 60
+        config = build_config("poisoning-cert", seed)
+        graph, split, train_config, attack = prepare_cell(config, seed)
+        _, _, certify = certifier("poisoning", graph, split, train_config,
+                                  attack)
+        blocks = []
+        train_arrays = smoothing.train_arrays
+
+        def recording(noisy, *rest):
+            blocks.append(len(noisy))
+            return train_arrays(noisy, *rest)
+
+        full = [cert.certified_size for cert in certify(graph.adjacency)]
+        monkeypatch.setattr(smoothing, "train_arrays", recording)
+        sizes = certify(graph.adjacency, refresh=True)
+        assert sizes.tolist() == full
+        assert sum(blocks) == (60 if max(full) > 0 else 10)
+
+    def test_replicates_after_the_stop_are_not_trained(self, monkeypatch):
+        # replicate 15 diverges, but every K is decided after the first
+        # block: each target has a dissent there, and K = 1 needs 60 of 60
+        config = SmoothingConfig(60, 0.1, seed=1)
+        true_labels = np.array([0, 1])
+        votes = vote_script(np.random.default_rng(0), true_labels,
+                            np.array([59, 30]), 60, "late")
+        certify, A, trained = scripted_certifier(
+            monkeypatch, votes, true_labels, NoiseSpec(0.9), config, 10,
+            diverging=15)
+        assert certify(A, refresh=True).tolist() == [0, 0]
+        assert trained == list(range(10))
+        with pytest.raises(CertificationError, match="replicate 15 failed"):
+            certify(A)
+
+
 class TestEdgeWorkspaceScope:
     def test_attacks_on_two_sizes_match_lone_runs(self, small_setup,
                                                   monkeypatch):
@@ -642,9 +788,8 @@ class TestEqualWeightReduction:
         # direction (normalized) matches the uniform scheme's exactly
         graph, split, _, params = small_setup
         targets = split.test
-        certs = make_certs(targets, [2] * targets.size)
-        w_const = node_weights(WeightScheme("certified", a=1.0), certs,
-                               graph, targets)
+        w_const = node_weights(WeightScheme("certified", a=1.0),
+                               np.full(targets.size, 2), graph, targets)
         assert np.allclose(w_const, w_const[0])
         delta = np.zeros(graph.num_pairs)
         w_full = np.zeros(graph.n)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from certattack import cli, init_params, parse_config, save_params
+from certattack import (NoiseSpec, certified_size, cli, init_params,
+                        lower_bound_prob, parse_config, save_params)
 from certattack.cli import main
 from test_experiment import FLOAT_KEYS, readme_config, write_config
 
@@ -42,6 +43,21 @@ class TestCli:
         assert main(["certify", "--config", str(config)]) == 0
         text = (tmp_path / "out" / "certificates.csv").read_text()
         assert text.startswith("node,true_label,smoothed_label")
+
+    @pytest.mark.parametrize("beta", [0.9, 0.6])
+    def test_certify_prints_k_max(self, tmp_path, capsys, beta):
+        # write_config's N = 10 and alpha = 0.1 give K(10) = 0 at beta 0.9
+        config = write_config(tmp_path)
+        config.write_text(config.read_text().replace("beta = 0.9",
+                                                     f"beta = {beta}"))
+        k_max = certified_size(lower_bound_prob(10, 10, 0.1), NoiseSpec(beta))
+        assert (k_max == 0) == (beta == 0.9)
+        assert main(["certify", "--config", str(config)]) == 0
+        out, err = capsys.readouterr()
+        assert f"K > 0, K_max {k_max} at N=10) -> " in out
+        assert ("every certified weight is expit(0) = 0.5" in out) == (
+            k_max == 0)
+        assert err == ""
 
     def test_attack_evasion_outputs(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -1,6 +1,7 @@
-"""Golden outputs: on the criterion-10 config, in both modes, the sweep's
-raw_results.csv and summary.csv and `certify`'s certificates.csv match
-the files in tests/golden byte for byte, and so do the evasion label
+"""Golden outputs: on the criterion-10 config and on a sweep over every
+weight scheme, in both modes, the sweep's raw_results.csv and
+summary.csv and `certify`'s certificates.csv match the files in
+tests/golden byte for byte, and so do the evasion label
 counts at N = 2000 of evasion_counts.csv and the digests of the noisy
 logits behind them, the digests of trained weights and the poisoning
 label counts on the criterion-8 config.
@@ -11,6 +12,7 @@ build may round differently; a mismatch there is a finding to report,
 not a reason to regenerate.
 """
 import importlib.util
+import re
 from hashlib import sha256
 from pathlib import Path
 
@@ -23,12 +25,23 @@ from certattack import (ARITHMETIC_VERSION, NoiseSpec, SmoothingConfig,
                         mc_counts_poisoning, mix_seed, noise_flips,
                         noisy_forward, num_pairs, sample_noise, split_nodes,
                         synth_sbm, train, train_arrays)
+from certattack.attacks import WEIGHT_SCHEMES
 from certattack.cli import main
 from test_experiment import write_config
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MODES = ("evasion", "poisoning")
 FILES = ("raw_results.csv", "summary.csv", "certificates.csv")
+# write_config's keys set for the scheme sweep: every weight scheme on
+# criterion 7's graph (n = 100, so poisoning replicates train in blocks
+# of 10), with replicates trained hard enough (200 epochs at rate 1.0)
+# that some targets win all N = 60 votes, which K = 1 needs at beta = 0.9.
+SCHEME_SWEEP = dict(values=",".join(WEIGHT_SCHEMES), n=100, p_in=0.1,
+                    p_out=0.01, feature_dim=8, train_ratio=0.1, epochs=200,
+                    learning_rate=1.0, num_samples=60)
+# golden directory -> (mode, config edits)
+SWEEPS = {**{mode: (mode, {}) for mode in MODES},
+          **{f"{mode}-schemes": (mode, SCHEME_SWEEP) for mode in MODES}}
 COUNTS = "evasion_counts.csv"
 LOGITS = "evasion_logits.sha256"
 WEIGHTS = "training_weights.sha256"
@@ -57,24 +70,28 @@ def test_golden_files_match_arithmetic_version():
         f"tests/golden/build.txt reads {written[0]!r}")
 
 
-def write_outputs(tmp_path: Path, mode: str) -> Path:
-    """The directory holding the sweep and `certify` outputs of the
-    criterion-10 config (write_config's defaults) in `mode`."""
-    config = write_config(tmp_path, name=f"{mode}.ini", out=tmp_path / mode)
-    config.write_text(config.read_text().replace("mode = evasion",
-                                                 f"mode = {mode}"))
+def write_outputs(tmp_path: Path, sweep: str) -> Path:
+    """The directory holding the sweep and `certify` outputs of SWEEPS'
+    `sweep`: the criterion-10 config (write_config's defaults) in a mode,
+    with the sweep's keys set."""
+    mode, edits = SWEEPS[sweep]
+    config = write_config(tmp_path, name=f"{sweep}.ini", out=tmp_path / sweep)
+    text = config.read_text()
+    for key, value in dict(mode=mode, **edits).items():
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    config.write_text(text)
     codes = [main([command, "--config", str(config)])
              for command in ("sweep", "certify")]
     assert codes == [0, 0]
-    return tmp_path / mode
+    return tmp_path / sweep
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_outputs_match_golden_files(tmp_path, mode):
-    out = write_outputs(tmp_path, mode)
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_outputs_match_golden_files(tmp_path, sweep):
+    out = write_outputs(tmp_path, sweep)
     for name in FILES:
-        golden = (GOLDEN / mode / name).read_bytes()
-        assert (out / name).read_bytes() == golden, mismatch(f"{mode}/{name}")
+        golden = (GOLDEN / sweep / name).read_bytes()
+        assert (out / name).read_bytes() == golden, mismatch(f"{sweep}/{name}")
 
 
 def criterion_fixture():

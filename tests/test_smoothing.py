@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import certattack
-from certattack import (CertificationError, DomainError, GCNParams,
-                        Graph, NoiseSpec, NumericError, ParameterError,
-                        SmoothingConfig, TrainConfig,
+from certattack import (AttackConfig, CertificationError, DomainError,
+                        GCNParams, Graph, NoiseSpec, NumericError,
+                        ParameterError, SmoothingConfig, TrainConfig,
                         TrainingError, apply_perturbation,
                         certificates_from_counts, certified_size,
                         forward, init_params,
@@ -23,7 +23,7 @@ from certattack import (CertificationError, DomainError, GCNParams,
                         sample_noise, split_nodes, synth_sbm, train,
                         triu_pairs, worst_case_retained,
                         write_certificates_csv)
-from certattack import smoothing
+from certattack import attacks, smoothing
 from certattack.gcn import stack_block
 from oracles import (certify_nodes, exact_smoothed_probs,
                      mc_counts_evasion_loop, worst_case_retained_exact)
@@ -493,8 +493,8 @@ class TestCertifiedSize:
         assert [cert.saturated for cert in certs] == [k == 3 for k in sizes]
 
     def test_certificates_warn_when_saturated(self, monkeypatch):
-        # attacks certify through certificates_from_counts, so a saturated
-        # scan inside an attack warns as well
+        # attacks take K from the same size_function, so a saturated scan
+        # inside an attack warns as well
         monkeypatch.setattr(smoothing, "DEFAULT_RADIUS_CAP", 3)
         with pytest.warns(UserWarning, match="saturated at the scan cap 3"):
             certificates_from_counts(np.array([[200, 0]]), np.arange(1),
@@ -523,6 +523,49 @@ class TestCertifiedSize:
             assert cert.p_lower == p_low
             assert cert.certified_size == (
                 certified_size(p_low, spec) if row.argmax() == label else 0)
+
+
+class TestSizeFunction:
+    # (beta, N, alpha, DEFAULT_RADIUS_CAP): poisoning-cert, evasion-cert,
+    # beta = 0.95 at N = 2000, the README's K_max = 0, a saturated cap
+    GRID = [(0.9, 60, 0.1, 2000), (0.95, 500, 0.1, 2000),
+            (0.95, 2000, 0.1, 2000), (0.999, 200, 0.1, 2000),
+            (0.6, 200, 0.1, 3)]
+
+    @pytest.mark.parametrize("beta, N, alpha, cap", GRID)
+    def test_is_the_bound_and_scan_of_each_count(self, monkeypatch, beta, N,
+                                                 alpha, cap):
+        monkeypatch.setattr(smoothing, "DEFAULT_RADIUS_CAP", cap)
+        spec = NoiseSpec(beta)
+        K = smoothing.size_function(spec, SmoothingConfig(N, alpha))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sizes = [K(c) for c in range(N + 1)]
+            for c in range(N + 1):
+                p_low = lower_bound_prob(c, N, alpha)
+                assert K.bound(c) == p_low
+                assert sizes[c] == (certified_size(p_low, spec, cap)
+                                    if p_low > 0.5 else 0)
+        assert sizes == sorted(sizes)  # K never falls as c grows
+        assert all(2 * c > N for c in range(N + 1) if sizes[c] > 0)
+
+    def test_certifier_scans_each_count_once(self, monkeypatch, sbm_setup):
+        graph, split, params = sbm_setup[:3]
+        calls = []
+
+        def counted(*args, fn=smoothing.certified_size):
+            calls.append(args[0])
+            return fn(*args)
+
+        monkeypatch.setattr(smoothing, "certified_size", counted)
+        attack = AttackConfig(budget=1, smoothing=SmoothingConfig(100, 0.1),
+                              noise=NoiseSpec(0.8))
+        _, _, certify = attacks.certifier("evasion", graph, split, None,
+                                          attack, params)
+        certs = certify(graph.adjacency)
+        sizes = certify(graph.adjacency, refresh=True)  # the same counts
+        assert sizes.tolist() == [cert.certified_size for cert in certs]
+        assert len(calls) == len(set(calls)) > 0
 
 
 class TestExactSmoothedProb:

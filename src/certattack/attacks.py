@@ -5,20 +5,18 @@ Node weights shrink exponentially with the certified perturbation size
 edge-flip budget on provably fragile nodes.  With uniform weights both
 attacks reduce exactly to their unweighted base versions.
 """
-import csv
 import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, GraphLoadError, ParameterError
+from .errors import ParameterError
 from .gcn import (CROSS_ENTROPY, EdgeWorkspace, GCNParams, LossKind,
                   TrainConfig, gradients, init_params, noisy_forward,
                   param_gradients, predict_all, train, weighted_logit_loss)
 from .graph import DataSplit, Graph, classification_accuracy
-from .perturb import (Perturbation, apply_perturbation, num_pairs,
-                      relax_perturbation, triu_pairs)
+from .perturb import Perturbation, apply_perturbation, relax_perturbation
 from .smoothing import (NoiseSpec, SmoothingConfig, certificates_from_counts,
                         certified_sizes, mc_counts_evasion,
                         mc_counts_poisoning, mix_seed, noise_flips,
@@ -265,8 +263,7 @@ def certifier(mode: str, graph: Graph, split: DataSplit,
             return certified_sizes(counts(adjacency, size), labels[targets],
                                    size)
         return certificates_from_counts(counts(adjacency, None), targets,
-                                        labels, config.noise,
-                                        config.smoothing, size)
+                                        labels, size)
 
     return targets, labels, certify
 
@@ -399,74 +396,3 @@ def evaluate_attack(graph: Graph, split: DataSplit, delta_binary: np.ndarray,
 
     return (accuracy(graph.adjacency),
             accuracy(apply_perturbation(graph.adjacency, delta_binary)))
-
-
-def write_report_csv(report: AttackReport, scheme_tag: str, path) -> None:
-    """Per-iteration trace followed by a one-row summary section."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "cr_loss", "feasible_mass"])
-        for t, (loss, mass) in enumerate(zip(report.per_iteration_loss,
-                                             report.per_iteration_mass)):
-            writer.writerow([t, repr(float(loss)), repr(float(mass))])
-        writer.writerow([])
-        writer.writerow(["scheme", "budget", "pre_accuracy", "post_accuracy",
-                         "runtime_seconds"])
-        writer.writerow([scheme_tag, report.perturbation.budget,
-                         repr(report.pre_attack_accuracy),
-                         repr(report.post_attack_accuracy),
-                         repr(report.attack_seconds)])
-
-
-def write_delta_edges(delta_binary: np.ndarray, adjacency: np.ndarray,
-                      path) -> None:
-    """Flip list: one 's<TAB>t<TAB>direction' line per perturbed pair."""
-    n = adjacency.shape[0]
-    rows, cols = triu_pairs(n)
-    delta_binary = np.asarray(delta_binary)
-    if delta_binary.shape != (num_pairs(n),):
-        raise DimensionError("flip vector does not match the adjacency size")
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in np.flatnonzero(delta_binary != 0):
-            s, t = int(rows[p]), int(cols[p])
-            direction = "remove" if adjacency[s, t] else "add"
-            fh.write(f"{s}\t{t}\t{direction}\n")
-
-
-def read_delta_edges(path, n: int | None = None) -> np.ndarray:
-    """Inverse of write_delta_edges: the flip vector over n nodes, by
-    default the fewest nodes that hold every listed pair.
-
-    Lines are whitespace-separated 's t direction'.  A file that cannot be
-    read is a GraphLoadError naming the file; a malformed line, a self-pair
-    or an index outside [0, n) is one naming the file and line.
-    """
-    pairs = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = list(fh)
-    except OSError as exc:
-        raise GraphLoadError(f"{path}: cannot read flip file: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
-        toks = line.split()
-        if not toks:
-            continue
-        where = f"{path}:{lineno}"
-        # A decimal token is a nonnegative integer that int() reads.
-        if not (len(toks) == 3 and toks[0].isdecimal()
-                and toks[1].isdecimal() and toks[2] in ("add", "remove")):
-            raise GraphLoadError(
-                f"{where}: expected 's t add|remove', got {line.strip()!r}")
-        s, t = int(toks[0]), int(toks[1])
-        if s == t:
-            raise GraphLoadError(f"{where}: self-pair ({s}, {t})")
-        if n is not None and max(s, t) >= n:
-            raise GraphLoadError(f"{where}: node index outside [0, {n})")
-        pairs.append((s, t))
-    if n is None:
-        n = 1 + max((max(pair) for pair in pairs), default=0)
-    s, t = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    marked = np.zeros((n, n), dtype=np.int8)
-    marked[s, t] = marked[t, s] = 1
-    rows, cols = triu_pairs(n)
-    return marked[rows, cols]

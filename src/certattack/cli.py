@@ -8,16 +8,16 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
-from .attacks import (certifier, read_delta_edges, write_delta_edges,
-                      write_report_csv)
+from .attacks import certifier
 from .errors import CertAttackError, GraphLoadError, ParameterError
-from .experiment import (parse_config, parse_key, prepare_cell,
+from .experiment import (load_params, parse_config, parse_key, prepare_cell,
+                         read_certificates_csv, read_delta_edges,
                          report_distribution, run_attack, run_sweep,
-                         runtime_profile)
-from .gcn import load_params, predict_all, save_params, train
+                         runtime_profile, save_params, write_certificates_csv,
+                         write_delta_edges, write_report_csv)
+from .gcn import predict_all, train
 from .graph import classification_accuracy
-from .smoothing import (read_certificates_csv, size_function,
-                        write_certificates_csv)
+from .smoothing import size_function
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -79,17 +79,11 @@ def _load_config(args):
     return config
 
 
-def _output(directory, name) -> Path:
-    """directory / name, making the directory if it is missing."""
-    Path(directory).mkdir(parents=True, exist_ok=True)
-    return Path(directory) / name
-
-
 def cmd_train(args) -> int:
     config = _load_config(args)
     graph, split, train_config, _ = prepare_cell(config, config.seeds[0])
     params = train(graph, split, graph.adjacency, train_config)
-    path = _output(config.out_dir, "params.bin")
+    path = Path(config.out_dir) / "params.bin"
     save_params(params, path)
     preds = predict_all(params, graph.adjacency, graph.features)
     acc_tr = classification_accuracy(preds, graph.labels, split.train)
@@ -120,7 +114,7 @@ def cmd_certify(args) -> int:
     _, _, certify = certifier(config.mode, graph, split, train_config,
                               attack, params)
     certs = certify(graph.adjacency)
-    path = _output(config.out_dir, "certificates.csv")
+    path = Path(config.out_dir) / "certificates.csv"
     write_certificates_csv(certs, attack.noise, attack.smoothing, path)
     certified = sum(1 for c in certs if c.certified_size > 0)
     N = attack.smoothing.num_samples
@@ -138,7 +132,7 @@ def cmd_attack(args) -> int:
     config = _load_config(args)
     graph, split, train_config, attack = prepare_cell(config, config.seeds[0])
     report = run_attack(config.mode, graph, split, train_config, attack)
-    path = _output(config.out_dir, "attack_report.csv")
+    path = Path(config.out_dir) / "attack_report.csv"
     write_report_csv(report, attack.scheme.tag, path)
     write_delta_edges(report.perturbation.binary, graph.adjacency,
                       path.with_name("delta_edges.tsv"))
@@ -164,7 +158,7 @@ def cmd_report_distribution(args) -> int:
     if not sizes:
         raise ParameterError(f"{args.certificates}: no certificates found")
     delta = read_delta_edges(args.delta)
-    path = _output(args.out or ".", "distribution.csv")
+    path = Path(args.out or ".") / "distribution.csv"
     histogram = report_distribution(delta, sizes, path)
     print(f"distribution over {sum(histogram.values())} edge incidences "
           f"-> {path}")
@@ -177,7 +171,7 @@ def cmd_profile(args) -> int:
               for tok in args.samples.split(",") if tok.strip()]
     if not counts:
         raise ParameterError(f"--samples {args.samples!r} names no count")
-    path = _output(config.out_dir, "runtime_profile.csv")
+    path = Path(config.out_dir) / "runtime_profile.csv"
     results = runtime_profile(config, counts, path)
     for n_samples, total, cert in results:
         print(f"N={n_samples}: attack {total:.2f}s, certification {cert:.2f}s")

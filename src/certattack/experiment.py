@@ -1,15 +1,19 @@
-"""Experiment sweeps, distribution reports and runtime profiling.
+"""Experiment sweeps, distribution reports, runtime profiling, and the
+writers and readers of every file the package writes.
 
 Configs are plain key=value files with INI section headers so they diff
 cleanly; sweep cells are independent jobs whose rows are merged in a
 deterministic (seed, value, scheme) order, never by completion order.
 Wall-clock columns live in a separate timings file so the raw results CSV
-is byte-identical across reruns of the same config.
+is byte-identical across reruns of the same config.  Every output file is
+written beside its target and then moved over it, so a failed write
+leaves the previous file whole.
 """
 import configparser
 import csv
 import math
 import os
+import struct
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -20,11 +24,12 @@ import numpy as np
 
 from .attacks import (AttackConfig, AttackReport, minmax_poisoning,
                       pgd_evasion)
-from .errors import CertAttackError, ParameterError
-from .gcn import TrainConfig, train
+from .errors import (CertAttackError, DimensionError, GraphLoadError,
+                     ParameterError)
+from .gcn import GCNParams, TrainConfig, train
 from .graph import DataSplit, Graph, load_graph, split_nodes, synth_sbm
-from .perturb import infer_n, triu_pairs
-from .smoothing import Certificate, mix_seed
+from .perturb import infer_n, num_pairs, triu_pairs
+from .smoothing import Certificate, NoiseSpec, SmoothingConfig, mix_seed
 
 SWEEP_AXES = ("budget_ratio", "beta", "alpha", "num_samples", "sharpness",
               "scheme")
@@ -107,6 +112,8 @@ class DatasetConfig:
                                          and self.labels):
             raise ParameterError(
                 "files dataset needs edges, features and labels paths")
+        if self.seed < 0:
+            raise ParameterError(f"dataset seed {self.seed} is negative")
 
 
 @dataclass(frozen=True)
@@ -134,8 +141,9 @@ class ExperimentConfig:
         # stay in the cell, where they make a failed row.
         for value in self.sweep_values:
             parse_key("attack", self.sweep_axis, value)
-        if not self.seeds:
-            raise ParameterError("seeds list must be non-empty")
+        if not self.seeds or min(self.seeds) < 0:
+            raise ParameterError(f"seeds must be a non-empty list of "
+                                 f"nonnegative integers, got {self.seeds}")
 
 
 @dataclass
@@ -265,22 +273,6 @@ def run_cell(config: ExperimentConfig, seed: int, value: str) -> ResultRow:
     return row
 
 
-def _write_csv(path, header: list, records) -> None:
-    """Write the CSV to a temp file beside `path`, then move it over
-    `path`: a crash while writing leaves the previous file whole and no
-    temp file behind."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(records)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)  # left only by a failed write
-
-
 def _row_record(row: ResultRow) -> list:
     fmt = lambda v: "" if v is None else repr(v)
     return [row.seed, row.axis, row.value, row.scheme, fmt(row.pre_accuracy),
@@ -342,7 +334,6 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
     if jobs < 1:
         raise ParameterError(f"jobs must be at least 1, got {jobs}")
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     raw_path = out_dir / "raw_results.csv"
     existing = _read_existing_rows(raw_path) if resume else {}
     cells = [(seed, value) for seed in config.seeds
@@ -358,13 +349,13 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1,
         fresh = [run_cell(config, s, v) for s, v in pending]
     rows = list(existing.values()) + fresh
     rows.sort(key=ResultRow.sort_key)
-    _write_csv(raw_path, HEADERS["raw_results"], map(_row_record, rows))
+    _write_csv(raw_path, [HEADERS["raw_results"], *map(_row_record, rows)])
     _write_csv(out_dir / "summary.csv",
-               ["value", "scheme", "cells", "failures", "mean_pre", "std_pre",
-                "mean_post", "std_post"], _summary_records(rows))
-    _write_csv(out_dir / "timings.csv", HEADERS["timings"],
-               ([row.seed, row.value, row.scheme, f"{row.attack_seconds:.6f}",
-                 f"{row.cert_seconds:.6f}"] for row in rows))
+               [["value", "scheme", "cells", "failures", "mean_pre", "std_pre",
+                 "mean_post", "std_post"], *_summary_records(rows)])
+    _write_csv(out_dir / "timings.csv", [HEADERS["timings"], *(
+        [row.seed, row.value, row.scheme, f"{row.attack_seconds:.6f}",
+         f"{row.cert_seconds:.6f}"] for row in rows)])
     return rows
 
 
@@ -413,8 +404,8 @@ def report_distribution(delta_binary: np.ndarray,
         keys = sorted(k for k in histogram if k != "none")
         if "none" in histogram:
             keys.append("none")
-        _write_csv(path, ["certified_size", "edge_count"],
-                   [[key, histogram[key]] for key in keys])
+        _write_csv(path, [["certified_size", "edge_count"],
+                          *([key, histogram[key]] for key in keys)])
     return dict(histogram)
 
 
@@ -436,7 +427,183 @@ def runtime_profile(config: ExperimentConfig, sample_counts: list[int],
         total = time.perf_counter() - start
         results.append((n_samples, total, report.cert_seconds))
     if path is not None:
-        _write_csv(path, ["num_samples", "attack_seconds", "cert_seconds"],
-                   ([n, f"{total:.6f}", f"{cert:.6f}"]
-                    for n, total, cert in results))
+        _write_csv(path, [["num_samples", "attack_seconds", "cert_seconds"],
+                          *([n, f"{total:.6f}", f"{cert:.6f}"]
+                            for n, total, cert in results)])
     return results
+
+
+def _replace_file(path, write, **open_args) -> None:
+    """Call write(fh) on a temp file beside `path`, opened with open_args,
+    then move it over `path`, making its directory first: a crash while
+    writing leaves the previous file whole and no temp file behind."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, **open_args) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # left only by a failed write
+
+
+def _write_csv(path, rows, **dialect) -> None:
+    """Replace `path` with the CSV of rows, header included, written with
+    the csv module's dialect arguments."""
+    _replace_file(path, lambda fh: csv.writer(fh, **dialect).writerows(rows),
+                  mode="w", newline="", encoding="utf-8")
+
+
+def write_certificates_csv(certs: list[Certificate], spec: NoiseSpec,
+                           config: SmoothingConfig, path) -> None:
+    _write_csv(path, [
+        ["node", "true_label", "smoothed_label", "top_count", "N", "alpha",
+         "beta", "p_lower", "K"],
+        *([cert.node, cert.true_label, cert.smoothed_label,
+           int(cert.counts[cert.smoothed_label]), config.num_samples,
+           repr(config.alpha), repr(spec.beta), repr(cert.p_lower),
+           cert.certified_size] for cert in certs)])
+
+
+def read_certificates_csv(path) -> dict[int, int]:
+    """node -> certified size map from an exported certificate CSV.
+
+    A file that cannot be read is a GraphLoadError naming the file; a
+    missing node or K column, or a node or K that is not a nonnegative
+    integer, is one naming the file and line.
+    """
+    try:
+        with open(path, "r", newline="") as fh:
+            lines = list(fh)
+    except OSError as exc:
+        raise GraphLoadError(
+            f"{path}: cannot read certificate file: {exc}") from exc
+    reader = csv.DictReader(lines, restval="")
+    if not {"node", "K"} <= set(reader.fieldnames or ()):
+        raise GraphLoadError(f"{path}:1: need node and K columns, got "
+                             f"{reader.fieldnames}")
+    sizes = {}
+    for row in reader:
+        # A decimal string is a nonnegative integer that int() reads.
+        if not (row["node"].isdecimal() and row["K"].isdecimal()):
+            raise GraphLoadError(
+                f"{path}:{reader.line_num}: node and K must be "
+                f"nonnegative integers, got {row['node']!r}, {row['K']!r}")
+        sizes[int(row["node"])] = int(row["K"])
+    return sizes
+
+
+def write_report_csv(report: AttackReport, scheme_tag: str, path) -> None:
+    """Per-iteration trace followed by a one-row summary section."""
+    _write_csv(path, [
+        ["iteration", "cr_loss", "feasible_mass"],
+        *([t, repr(float(loss)), repr(float(mass))] for t, (loss, mass)
+          in enumerate(zip(report.per_iteration_loss,
+                           report.per_iteration_mass))),
+        [],
+        ["scheme", "budget", "pre_accuracy", "post_accuracy",
+         "runtime_seconds"],
+        [scheme_tag, report.perturbation.budget,
+         repr(report.pre_attack_accuracy), repr(report.post_attack_accuracy),
+         repr(report.attack_seconds)]])
+
+
+def write_delta_edges(delta_binary: np.ndarray, adjacency: np.ndarray,
+                      path) -> None:
+    """Flip list: one 's<TAB>t<TAB>direction' line per perturbed pair."""
+    n = adjacency.shape[0]
+    delta_binary = np.asarray(delta_binary)
+    if delta_binary.shape != (num_pairs(n),):
+        raise DimensionError("flip vector does not match the adjacency size")
+    s, t = (ends[delta_binary != 0] for ends in triu_pairs(n))
+    directions = np.where(adjacency[s, t] != 0, "remove", "add")
+    _write_csv(path, zip(s.tolist(), t.tolist(), directions.tolist()),
+               delimiter="\t", lineterminator="\n")
+
+
+def read_delta_edges(path, n: int | None = None) -> np.ndarray:
+    """Inverse of write_delta_edges: the flip vector over n nodes, by
+    default the fewest nodes that hold every listed pair.
+
+    Lines are whitespace-separated 's t direction'.  A file that cannot be
+    read is a GraphLoadError naming the file; a malformed line, a self-pair
+    or an index outside [0, n) is one naming the file and line.
+    """
+    pairs = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except OSError as exc:
+        raise GraphLoadError(f"{path}: cannot read flip file: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        toks = line.split()
+        if not toks:
+            continue
+        where = f"{path}:{lineno}"
+        # A decimal token is a nonnegative integer that int() reads.
+        if not (len(toks) == 3 and toks[0].isdecimal()
+                and toks[1].isdecimal() and toks[2] in ("add", "remove")):
+            raise GraphLoadError(
+                f"{where}: expected 's t add|remove', got {line.strip()!r}")
+        s, t = int(toks[0]), int(toks[1])
+        if s == t:
+            raise GraphLoadError(f"{where}: self-pair ({s}, {t})")
+        if n is not None and max(s, t) >= n:
+            raise GraphLoadError(f"{where}: node index outside [0, {n})")
+        pairs.append((s, t))
+    if n is None:
+        n = 1 + max((max(pair) for pair in pairs), default=0)
+    s, t = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    marked = np.zeros((n, n), dtype=np.int8)
+    marked[s, t] = marked[t, s] = 1
+    return marked[triu_pairs(n)]
+
+
+_MAGIC = b"GCNPARAM"
+_VERSION = 1
+
+
+def save_params(params: GCNParams, path) -> None:
+    """Binary checkpoint: magic, version, then per-matrix dims and float64
+    row-major entries, all little-endian."""
+    def write(fh):
+        fh.write(_MAGIC + struct.pack("<Q", _VERSION))
+        for mat in (params.W1, params.W2):
+            fh.write(struct.pack("<QQ", *mat.shape))
+            fh.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
+
+    _replace_file(path, write, mode="wb")
+
+
+def load_params(path) -> GCNParams:
+    """Inverse of save_params; a file that is not a whole checkpoint is a
+    ParameterError.  Each matrix's size is checked against the bytes left
+    before it is read, and no byte may follow W2."""
+    with open(path, "rb") as fh:
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            raise ParameterError(f"{path}: not a GCN checkpoint")
+        data = memoryview(fh.read())
+    offset = 0
+
+    def read(size):
+        nonlocal offset
+        if size > len(data) - offset:
+            raise ParameterError(f"{path}: truncated checkpoint")
+        offset += size
+        return data[offset - size:offset]
+
+    (version,) = struct.unpack("<Q", read(8))
+    if version != _VERSION:
+        raise ParameterError(f"{path}: unsupported checkpoint version {version}")
+    mats = []
+    for _ in range(2):
+        rows, cols = struct.unpack("<QQ", read(16))
+        if rows * cols == 0:  # numpy cannot shape (0, 2**62)
+            raise ParameterError(f"{path}: empty weight matrix")
+        buf = read(rows * cols * 8)
+        mats.append(np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy())
+    if offset != len(data):
+        raise ParameterError(f"{path}: {len(data) - offset} bytes after the "
+                             "checkpoint")
+    return GCNParams(*mats)

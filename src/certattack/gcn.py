@@ -6,7 +6,6 @@ through the symmetric degree normalization, so the whole pipeline stays
 deterministic and autograd-free.  Features come before weights: the
 hidden layer is (Ahat X) W1, so a training builds Ahat X once.
 """
-import struct
 from dataclasses import dataclass
 from functools import reduce
 
@@ -461,51 +460,3 @@ def train(graph: Graph, split: DataSplit, adjacency_real: np.ndarray,
     return train_arrays(np.asarray(adjacency_real)[None], graph.features,
                         graph.labels, split.train, config, graph.num_classes,
                         [config.seed])[0]
-
-
-_MAGIC = b"GCNPARAM"
-_VERSION = 1
-
-
-def save_params(params: GCNParams, path) -> None:
-    """Binary checkpoint: magic, version, then per-matrix dims and float64
-    row-major entries, all little-endian."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", _VERSION))
-        for mat in (params.W1, params.W2):
-            fh.write(struct.pack("<QQ", *mat.shape))
-            fh.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
-
-
-def load_params(path) -> GCNParams:
-    """Inverse of save_params; a file that is not a whole checkpoint is a
-    ParameterError.  Each matrix's size is checked against the bytes left
-    before it is read, and no byte may follow W2."""
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ParameterError(f"{path}: not a GCN checkpoint")
-        data = memoryview(fh.read())
-    offset = 0
-
-    def read(size):
-        nonlocal offset
-        if size > len(data) - offset:
-            raise ParameterError(f"{path}: truncated checkpoint")
-        offset += size
-        return data[offset - size:offset]
-
-    (version,) = struct.unpack("<Q", read(8))
-    if version != _VERSION:
-        raise ParameterError(f"{path}: unsupported checkpoint version {version}")
-    mats = []
-    for _ in range(2):
-        rows, cols = struct.unpack("<QQ", read(16))
-        if rows * cols == 0:  # numpy cannot shape (0, 2**62)
-            raise ParameterError(f"{path}: empty weight matrix")
-        buf = read(rows * cols * 8)
-        mats.append(np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy())
-    if offset != len(data):
-        raise ParameterError(f"{path}: {len(data) - offset} bytes after the "
-                             "checkpoint")
-    return GCNParams(*mats)

@@ -13,7 +13,6 @@ and likelihood ratio (beta/(1-beta))^(2k-r).  The worst-case retained
 probability rho(r) consumes the lower-bound mass greedily from the
 highest-ratio region down, fractionally at the boundary.
 """
-import csv
 import functools
 import warnings
 from dataclasses import dataclass
@@ -21,8 +20,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import (CertificationError, GraphLoadError, ParameterError,
-                     TrainingError)
+from .errors import CertificationError, ParameterError, TrainingError
 from .gcn import (GCNParams, TrainConfig, noisy_forward, predict_all,
                   stack_block, train_arrays)
 from .perturb import apply_perturbation, num_pairs
@@ -290,13 +288,9 @@ def certified_sizes(counts: np.ndarray, true_labels: np.ndarray,
 
 
 def certificates_from_counts(counts: np.ndarray, target_nodes: np.ndarray,
-                             labels: np.ndarray, spec: NoiseSpec,
-                             config: SmoothingConfig,
-                             size=None) -> list[Certificate]:
+                             labels: np.ndarray, size) -> list[Certificate]:
     """One certificate per target node from its row of all N label counts,
-    with size's K, by default a new size_function(spec, config)."""
-    if size is None:
-        size = size_function(spec, config)
+    with size's K, a size_function."""
     targets = np.asarray(target_nodes, dtype=np.int64)
     true_labels = np.asarray(labels)[targets]
     sizes = certified_sizes(counts, true_labels, size)
@@ -306,45 +300,3 @@ def certificates_from_counts(counts: np.ndarray, target_nodes: np.ndarray,
             for node, label, row, k in zip(targets.tolist(),
                                            true_labels.tolist(), counts,
                                            sizes.tolist())]
-
-
-def write_certificates_csv(certs: list[Certificate], spec: NoiseSpec,
-                           config: SmoothingConfig, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "true_label", "smoothed_label", "top_count",
-                         "N", "alpha", "beta", "p_lower", "K"])
-        for cert in certs:
-            writer.writerow([cert.node, cert.true_label, cert.smoothed_label,
-                             int(cert.counts[cert.smoothed_label]),
-                             config.num_samples, repr(config.alpha),
-                             repr(spec.beta), repr(cert.p_lower),
-                             cert.certified_size])
-
-
-def read_certificates_csv(path) -> dict[int, int]:
-    """node -> certified size map from an exported certificate CSV.
-
-    A file that cannot be read is a GraphLoadError naming the file; a
-    missing node or K column, or a node or K that is not a nonnegative
-    integer, is one naming the file and line.
-    """
-    try:
-        with open(path, "r", newline="") as fh:
-            lines = list(fh)
-    except OSError as exc:
-        raise GraphLoadError(
-            f"{path}: cannot read certificate file: {exc}") from exc
-    reader = csv.DictReader(lines, restval="")
-    if not {"node", "K"} <= set(reader.fieldnames or ()):
-        raise GraphLoadError(f"{path}:1: need node and K columns, got "
-                             f"{reader.fieldnames}")
-    sizes = {}
-    for row in reader:
-        # A decimal string is a nonnegative integer that int() reads.
-        if not (row["node"].isdecimal() and row["K"].isdecimal()):
-            raise GraphLoadError(
-                f"{path}:{reader.line_num}: node and K must be "
-                f"nonnegative integers, got {row['node']!r}, {row['K']!r}")
-        sizes[int(row["node"])] = int(row["K"])
-    return sizes

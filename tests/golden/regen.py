@@ -21,8 +21,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from test_golden import (FILES, GOLDEN, SWEEPS, build,  # noqa: E402
-                         evasion_outputs, training_outputs, write_outputs)
+from test_golden import (FILES, GOLDEN, SWEEPS,  # noqa: E402
+                         attack_outputs, build, evasion_outputs,
+                         training_outputs, write_outputs)
 
 SHOWN = 10  # differing lines printed per file
 
@@ -36,6 +37,8 @@ def outputs() -> dict:
             out = write_outputs(Path(tmp), sweep)
             for name in FILES:
                 texts[f"{sweep}/{name}"] = (out / name).read_bytes()
+        (Path(tmp) / "attack").mkdir()
+        texts.update(attack_outputs(Path(tmp) / "attack"))
     for name, text in {**evasion_outputs(), **training_outputs(),
                        "build.txt": build()}.items():
         texts[name] = text.encode()

@@ -35,7 +35,8 @@ from certattack import (CROSS_ENTROPY, Certificate, GCNParams, NoiseSpec,
                         TrainConfig, apply_perturbation,
                         certificates_from_counts, forward, gcn,
                         mc_counts_evasion, mc_counts_poisoning, num_pairs,
-                        predict_all, sample_noise, weighted_logit_loss)
+                        predict_all, sample_noise, size_function,
+                        weighted_logit_loss)
 
 EXACT_PAIRS_CAP = 20
 
@@ -257,8 +258,8 @@ def certify_nodes(mode: str, *, target_nodes, labels, spec: NoiseSpec,
                                      num_classes)
     else:
         raise ParameterError(f"unknown certification mode {mode!r}")
-    return certificates_from_counts(counts, target_nodes, labels, spec,
-                                    config)
+    return certificates_from_counts(counts, target_nodes, labels,
+                                    size_function(spec, config))
 
 
 def relax_scatter(adjacency, delta_relaxed):

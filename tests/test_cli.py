@@ -134,6 +134,23 @@ class TestCli:
         config = write_config(tmp_path, axis="bogus")
         assert main(["sweep", "--config", str(config)]) == 1
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("edit, flags", [
+        (("seeds = 0,1", "seeds = -1"), []),
+        (("seed = 0", "seed = -2"), []),
+        (None, ["--seed", "-3"])],
+        ids=["split-seeds", "dataset-seed", "seed-flag"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, command,
+                                           edit, flags):
+        # numpy's generators take no negative seed; it is refused before
+        # any cell runs or any output directory is made
+        config = write_config(tmp_path)
+        if edit:
+            config.write_text(config.read_text().replace(*edit))
+        assert main([command, "--config", str(config), *flags]) == 1
+        assert "config error: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_flags_only_on_sweep(self, tmp_path):
         config = write_config(tmp_path)
         with pytest.raises(SystemExit) as exc:

@@ -7,9 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from certattack import (Certificate, NoiseSpec, ParameterError,
-                        build_dataset, parse_config, prepare_cell,
-                        report_distribution, run_sweep, runtime_profile)
+from certattack import (AttackReport, Certificate, NoiseSpec,
+                        ParameterError, Perturbation, SmoothingConfig,
+                        build_dataset, init_params, parse_config,
+                        prepare_cell, report_distribution, run_sweep,
+                        runtime_profile, save_params, write_certificates_csv,
+                        write_delta_edges, write_report_csv)
 from certattack import experiment
 from certattack.cli import main
 from certattack.experiment import (SWEEP_AXES, DatasetConfig,
@@ -190,6 +193,32 @@ def test_sweep_value_reaches_cell(tmp_path, axis):
     assert carries(graph, attack)
 
 
+def sweep_writer(tmp_path, resume):
+    run_sweep(parse_config(write_config(tmp_path, seeds="0,1",
+                                        values="uniform")), resume=resume)
+
+
+# Each output file -> a call that writes it into tmp_path / "out"; its
+# second argument picks one of two contents (for a sweep, a --resume pass).
+WRITERS = {
+    **dict.fromkeys(("raw_results.csv", "summary.csv", "timings.csv"),
+                    sweep_writer),
+    "certificates.csv": lambda tmp_path, v: write_certificates_csv(
+        [Certificate(node, 0, np.array([9 - v, 1 + v]), 0, 0.6, node)
+         for node in range(3)], NoiseSpec(0.9), SmoothingConfig(10, 0.1),
+        tmp_path / "out" / "certificates.csv"),
+    "attack_report.csv": lambda tmp_path, v: write_report_csv(AttackReport(
+        Perturbation(np.zeros(3), 1, np.zeros(3, dtype=np.int8)), 1.0,
+        0.5 + v / 10, np.arange(3.0), np.ones(3), []), "uniform",
+        tmp_path / "out" / "attack_report.csv"),
+    "delta_edges.tsv": lambda tmp_path, v: write_delta_edges(
+        np.array([1, v, 1, 0, 1, 0], dtype=np.int8),
+        np.zeros((4, 4), dtype=np.int8), tmp_path / "out" / "delta_edges.tsv"),
+    "params.bin": lambda tmp_path, v: save_params(
+        init_params(5, 4, 3, seed=v), tmp_path / "out" / "params.bin"),
+}
+
+
 class TestRunSweep:
     def test_zero_budget_rows_are_identity(self, tmp_path):
         config = parse_config(write_config(
@@ -252,35 +281,36 @@ class TestRunSweep:
         assert main(["sweep", "--config", str(tmp_path / "config.ini"),
                      "--resume"]) == 1
 
-    @pytest.mark.parametrize("crash_at", range(3),
-                             ids=["raw_results", "summary", "timings"])
+    @pytest.mark.parametrize("name", WRITERS,
+                             ids=[name.split(".")[0] for name in WRITERS])
     def test_crash_while_writing_keeps_the_previous_csvs(
-            self, tmp_path, monkeypatch, crash_at):
-        # the CSVs are written in this order; the crashing one must keep
-        # its previous bytes for --resume, and no temp file may be left
-        config = parse_config(write_config(tmp_path, seeds="0,1",
-                                           values="uniform"))
-        run_sweep(config)
+            self, tmp_path, monkeypatch, name):
+        # a write of the file that fails partway leaves its previous bytes
+        # (for a sweep CSV, for --resume) and no temp file; the writer
+        # made the directory
         out = tmp_path / "out"
+        WRITERS[name](tmp_path, 0)
         before = {path.name: path.read_bytes() for path in out.iterdir()}
-        assert sorted(before) == ["raw_results.csv", "summary.csv",
-                                  "timings.csv"]
-        written, real_writer = [], csv.writer
+        assert name in before
 
-        class Crashing:  # writes the header, then fails at the rows
-            def __init__(self, fh):
-                self.writer = real_writer(fh)
-                self.writerow = self.writer.writerow
+        def full_disk_open(file, *args, **kwargs):  # its 2nd write fails
+            fh = open(file, *args, **kwargs)
+            real_write, writes = fh.write, []
 
-            def writerows(self, records):
-                written.append(1)
-                if len(written) > crash_at:
+            def write(data):
+                writes.append(data)
+                if len(writes) > 1:
                     raise OSError("no space left on device")
-                self.writer.writerows(records)
+                return real_write(data)
 
-        monkeypatch.setattr(csv, "writer", Crashing)
+            if Path(file).name == f".{name}.tmp":
+                fh.write = write
+            return fh
+
+        monkeypatch.setattr(experiment, "open", full_disk_open,
+                            raising=False)
         with pytest.raises(OSError, match="no space"):
-            run_sweep(config, resume=True)
+            WRITERS[name](tmp_path, 1)
         assert {path.name: path.read_bytes()
                 for path in out.iterdir()} == before
 

@@ -1,10 +1,11 @@
 """Golden outputs: on the criterion-10 config and on a sweep over every
-weight scheme, in both modes, the sweep's raw_results.csv and
-summary.csv and `certify`'s certificates.csv match the files in
-tests/golden byte for byte, and so do the evasion label
-counts at N = 2000 of evasion_counts.csv and the digests of the noisy
-logits behind them, the digests of trained weights and the poisoning
-label counts on the criterion-8 config.
+weight scheme, in both modes, and on an evasion sweep over beta, the
+sweep's raw_results.csv and summary.csv and `certify`'s certificates.csv
+match the files in tests/golden byte for byte, and so do the flip list,
+distribution and attack report (but its wall time) of a small README
+attack, the evasion label counts at N = 2000 of evasion_counts.csv and
+the digests of the noisy logits behind them, the digests of trained
+weights and the poisoning label counts on the criterion-8 config.
 
 tests/golden/regen.py wrote them at the arithmetic version and on the
 numpy, scipy and BLAS build that tests/golden/build.txt names.  Another
@@ -27,7 +28,7 @@ from certattack import (ARITHMETIC_VERSION, NoiseSpec, SmoothingConfig,
                         synth_sbm, train, train_arrays)
 from certattack.attacks import WEIGHT_SCHEMES
 from certattack.cli import main
-from test_experiment import write_config
+from test_experiment import readme_config, write_config
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MODES = ("evasion", "poisoning")
@@ -39,9 +40,18 @@ FILES = ("raw_results.csv", "summary.csv", "certificates.csv")
 SCHEME_SWEEP = dict(values=",".join(WEIGHT_SCHEMES), n=100, p_in=0.1,
                     p_out=0.01, feature_dim=8, train_ratio=0.1, epochs=200,
                     learning_rate=1.0, num_samples=60)
+# The scheme sweep's graph and training, certified, at two noise levels;
+# `certify` keeps the config's own beta (0.9), not the first sweep value.
+BETA_SWEEP = dict(SCHEME_SWEEP, axis="beta", values="0.7,0.95")
 # golden directory -> (mode, config edits)
 SWEEPS = {**{mode: (mode, {}) for mode in MODES},
-          **{f"{mode}-schemes": (mode, SCHEME_SWEEP) for mode in MODES}}
+          **{f"{mode}-schemes": (mode, SCHEME_SWEEP) for mode in MODES},
+          "evasion-beta": ("evasion", BETA_SWEEP)}
+# readme_config's keys set for the CLI attack: the README's certified
+# evasion attack, shortened to 20 iterations, at a (beta, N) where some
+# targets certify K = 1.
+README_ATTACK = dict(beta=0.9, num_samples=60, iterations=20)
+ATTACK_FILES = ("attack_report.csv", "delta_edges.tsv", "distribution.csv")
 COUNTS = "evasion_counts.csv"
 LOGITS = "evasion_logits.sha256"
 WEIGHTS = "training_weights.sha256"
@@ -92,6 +102,29 @@ def test_outputs_match_golden_files(tmp_path, sweep):
     for name in FILES:
         golden = (GOLDEN / sweep / name).read_bytes()
         assert (out / name).read_bytes() == golden, mismatch(f"{sweep}/{name}")
+
+
+def attack_outputs(tmp_path: Path) -> dict:
+    """Golden path -> the bytes that `certify`, `attack` and
+    `report-distribution` write on README_ATTACK's config, with the
+    report's last field, its runtime_seconds, masked."""
+    config, out = readme_config(tmp_path, **README_ATTACK), tmp_path / "out"
+    codes = [main([command, "--config", str(config)])
+             for command in ("certify", "attack")]
+    codes.append(main(["report-distribution", "--delta",
+                       str(out / "delta_edges.tsv"), "--certificates",
+                       str(out / "certificates.csv"), "--out", str(out)]))
+    assert codes == [0, 0, 0]
+    texts = {f"attack/{name}": (out / name).read_bytes()
+             for name in ATTACK_FILES}
+    texts["attack/attack_report.csv"] = re.sub(
+        rb",[^,]*\r\n\Z", b",masked\r\n", texts["attack/attack_report.csv"])
+    return texts
+
+
+def test_attack_outputs_match_golden_files(tmp_path):
+    for name, data in attack_outputs(tmp_path).items():
+        assert data == (GOLDEN / name).read_bytes(), mismatch(name)
 
 
 def criterion_fixture():

@@ -20,8 +20,8 @@ from certattack import (AttackConfig, CertificationError, DomainError,
                         lower_bound_prob, mc_counts_evasion,
                         mc_counts_poisoning, mix_seed, noise_flips,
                         noisy_forward, num_pairs, predict_all,
-                        sample_noise, split_nodes, synth_sbm, train,
-                        triu_pairs, worst_case_retained,
+                        sample_noise, size_function, split_nodes,
+                        synth_sbm, train, triu_pairs, worst_case_retained,
                         write_certificates_csv)
 from certattack import attacks, smoothing
 from certattack.gcn import stack_block
@@ -486,8 +486,8 @@ class TestCertifiedSize:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             certs = certificates_from_counts(
-                counts, np.arange(6), labels, NoiseSpec(0.6),
-                SmoothingConfig(200, 0.1))
+                counts, np.arange(6), labels,
+                size_function(NoiseSpec(0.6), SmoothingConfig(200, 0.1)))
         sizes = [cert.certified_size for cert in certs]
         assert sizes == [3, 3, 2, 0, 0, 3]
         assert [cert.saturated for cert in certs] == [k == 3 for k in sizes]
@@ -497,9 +497,9 @@ class TestCertifiedSize:
         # inside an attack warns as well
         monkeypatch.setattr(smoothing, "DEFAULT_RADIUS_CAP", 3)
         with pytest.warns(UserWarning, match="saturated at the scan cap 3"):
-            certificates_from_counts(np.array([[200, 0]]), np.arange(1),
-                                     np.zeros(1, dtype=np.int64),
-                                     NoiseSpec(0.6), SmoothingConfig(200, 0.1))
+            certificates_from_counts(
+                np.array([[200, 0]]), np.arange(1), np.zeros(1, dtype=np.int64),
+                size_function(NoiseSpec(0.6), SmoothingConfig(200, 0.1)))
 
     def test_certificates_compute_each_count_once(self, monkeypatch):
         # true-label counts 150, 150, 150, 50, 190: three bounds, and two
@@ -514,8 +514,8 @@ class TestCertifiedSize:
                 calls.append(name)
                 return fn(*args)
             monkeypatch.setattr(smoothing, name, counted)
-        certs = certificates_from_counts(counts, np.arange(5), labels, spec,
-                                         config)
+        certs = certificates_from_counts(counts, np.arange(5), labels,
+                                         size_function(spec, config))
         assert calls.count("lower_bound_prob") == 3
         assert calls.count("certified_size") == 2
         for cert, row, label in zip(certs, counts, labels):

@@ -27,11 +27,11 @@ from .experiment import (DatasetConfig, ExperimentConfig, ResultRow,
                          write_report_csv)
 from .perturb import (Perturbation, apply_perturbation, num_pairs,
                       relax_perturbation, triu_pairs)
-from .smoothing import (Certificate, NoiseSpec, SmoothingConfig,
-                        certificates_from_counts, certified_size,
-                        certified_sizes, lower_bound_prob, mc_counts_evasion,
-                        mc_counts_poisoning, mix_seed, noise_flips,
-                        sample_noise, size_function, worst_case_retained)
+from .smoothing import (Certificates, NoiseSpec, SmoothingConfig,
+                        certified_size, certify_counts, lower_bound_prob,
+                        mc_counts_evasion, mc_counts_poisoning, mix_seed,
+                        noise_flips, sample_noise, size_function,
+                        worst_case_retained)
 
 __version__ = "0.1.0"
 

@@ -17,10 +17,9 @@ from .gcn import (CROSS_ENTROPY, EdgeWorkspace, GCNParams, LossKind,
                   param_gradients, predict_all, train, weighted_logit_loss)
 from .graph import DataSplit, Graph, classification_accuracy
 from .perturb import Perturbation, apply_perturbation, relax_perturbation
-from .smoothing import (NoiseSpec, SmoothingConfig, certificates_from_counts,
-                        certified_sizes, mc_counts_evasion,
-                        mc_counts_poisoning, mix_seed, noise_flips,
-                        size_function)
+from .smoothing import (NoiseSpec, SmoothingConfig, certify_counts,
+                        mc_counts_evasion, mc_counts_poisoning, mix_seed,
+                        noise_flips, size_function)
 
 WEIGHT_SCHEMES = ("uniform", "random", "degree", "centrality", "certified")
 CENTRALITY_ITERATIONS = 100
@@ -221,17 +220,19 @@ def discretize(relaxed: np.ndarray, budget: int, trials: int,
 def certifier(mode: str, graph: Graph, split: DataSplit,
               train_config: TrainConfig | None, config: AttackConfig,
               params: GCNParams | None = None):
-    """(targets, labels, certify) of a threat model: certify(adjacency) ->
-    the targets' certificates on that graph, from all N samples, for
-    `certattack certify`; certify(adjacency, refresh=True) -> only their
-    certified sizes K, for the attack's refreshes.  One size function K
-    serves every call, so each count is bounded and scanned once.
+    """(targets, labels, certify) of a threat model: certify(adjacency)
+    -> the targets' Certificates on that graph, from all N samples, for
+    `certattack certify`.  certify(adjacency, stop=True), which the
+    attack's refreshes call for the sizes K, may stop sampling once every
+    K is decided; its counts then sum to the samples used.  One size
+    function K serves every call, so each count is bounded and scanned
+    once.
 
     Evasion certifies the fixed model params on the test nodes with flip
     lists drawn at the first call and kept while they fit in FLIP_BYTES.
     Poisoning certifies the train nodes with replicates trained on labels
-    set to -1 outside the train mask; only it reads train_config, and a
-    refresh stops training replicates once every K is decided.
+    set to -1 outside the train mask; only it reads train_config and
+    stops training replicates at stop=True.
     """
     size = size_function(config.noise, config.smoothing)
     if mode == "evasion":
@@ -254,16 +255,13 @@ def certifier(mode: str, graph: Graph, split: DataSplit,
             return mc_counts_poisoning(adjacency, graph.features, labels,
                                        targets, train_config, targets,
                                        config.noise, config.smoothing,
-                                       graph.num_classes, stop)
+                                       graph.num_classes,
+                                       size if stop else None)
     else:
         raise ParameterError(f"unknown certification mode {mode!r}")
 
-    def certify(adjacency, refresh=False):
-        if refresh:
-            return certified_sizes(counts(adjacency, size), labels[targets],
-                                   size)
-        return certificates_from_counts(counts(adjacency, None), targets,
-                                        labels, size)
+    def certify(adjacency, stop=False):
+        return certify_counts(counts(adjacency, stop), targets, labels, size)
 
     return targets, labels, certify
 
@@ -276,9 +274,9 @@ def _attack_loop(graph: Graph, split: DataSplit, certification,
 
     certification is certifier's (targets, labels, certify).  The
     certified scheme refreshes its weights every refresh_interval
-    iterations from certify(snapshot, refresh=True), the certified sizes
-    on the binarized snapshot of the current perturbation; other schemes
-    compute their weights once.
+    iterations from certify(snapshot, stop=True).sizes, the certified
+    sizes on the binarized snapshot of the current perturbation; other
+    schemes compute their weights once.
     model_step(model, delta, w_full) -> model, when given, runs before
     each ascent step.  The discretized perturbation is scored by
     evaluate_attack with model_on(adjacency) -> the model to test.
@@ -301,7 +299,8 @@ def _attack_loop(graph: Graph, split: DataSplit, certification,
             if certified:
                 tick = time.perf_counter()
                 sizes = certify(apply_perturbation(
-                    A, top_delta_binary(delta, config.budget)), refresh=True)
+                    A, top_delta_binary(delta, config.budget)),
+                    stop=True).sizes
                 cert_seconds += time.perf_counter() - tick
             w_targets = node_weights(config.scheme, sizes, graph, targets)
             w_full[targets] = w_targets

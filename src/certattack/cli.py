@@ -116,12 +116,12 @@ def cmd_certify(args) -> int:
     certs = certify(graph.adjacency)
     path = Path(config.out_dir) / "certificates.csv"
     write_certificates_csv(certs, attack.noise, attack.smoothing, path)
-    certified = sum(1 for c in certs if c.certified_size > 0)
+    certified = int((certs.sizes > 0).sum())
     N = attack.smoothing.num_samples
     with warnings.catch_warnings():  # only certify warns of saturation
         warnings.simplefilter("ignore")
         k_max = size_function(attack.noise, attack.smoothing)(N)
-    print(f"{len(certs)} nodes certified ({certified} with K > 0, "
+    print(f"{certs.nodes.size} nodes certified ({certified} with K > 0, "
           f"K_max {k_max} at N={N}) -> {path}")
     if k_max == 0:
         print("K_max is 0, so every certified weight is expit(0) = 0.5")

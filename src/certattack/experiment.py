@@ -29,7 +29,8 @@ from .errors import (CertAttackError, DimensionError, GraphLoadError,
 from .gcn import GCNParams, TrainConfig, train
 from .graph import DataSplit, Graph, load_graph, split_nodes, synth_sbm
 from .perturb import infer_n, num_pairs, triu_pairs
-from .smoothing import Certificate, NoiseSpec, SmoothingConfig, mix_seed
+from .smoothing import (Certificates, NoiseSpec, SmoothingConfig,
+                        lower_bound_prob, mix_seed)
 
 SWEEP_AXES = ("budget_ratio", "beta", "alpha", "num_samples", "sharpness",
               "scheme")
@@ -381,18 +382,19 @@ def _summary_records(rows: list[ResultRow]):
 
 
 def report_distribution(delta_binary: np.ndarray,
-                        certificates: dict[int, int] | list[Certificate],
+                        certificates: dict[int, int] | Certificates,
                         path=None) -> dict:
     """Histogram of perturbed edges against incident certified sizes.
 
     `certificates` is a {node: certified size} map (as read back by
-    read_certificates_csv) or a list of Certificate.  Every perturbed pair
+    read_certificates_csv) or a Certificates.  Every perturbed pair
     contributes one entry per incident target node (mapped to that node's
     certified size); pairs touching no target node fall into the 'none'
     bin.  Returns {size_or_'none': count} and optionally writes it as CSV.
     """
     sizes = (certificates if isinstance(certificates, dict) else
-             {cert.node: cert.certified_size for cert in certificates})
+             dict(zip(certificates.nodes.tolist(),
+                      certificates.sizes.tolist())))
     delta_binary = np.asarray(delta_binary)
     rows, cols = triu_pairs(infer_n(delta_binary.size))
     histogram = Counter()
@@ -448,6 +450,16 @@ def _replace_file(path, write, **open_args) -> None:
         tmp.unlink(missing_ok=True)  # left only by a failed write
 
 
+def _read_file(path, what: str, read, **open_args):
+    """read(fh) of `path` opened with open_args; a file that cannot be
+    opened or read is a GraphLoadError naming it as `what`."""
+    try:
+        with open(path, **open_args) as fh:
+            return read(fh)
+    except OSError as exc:
+        raise GraphLoadError(f"{path}: cannot read {what}: {exc}") from exc
+
+
 def _write_csv(path, rows, **dialect) -> None:
     """Replace `path` with the CSV of rows, header included, written with
     the csv module's dialect arguments."""
@@ -455,15 +467,21 @@ def _write_csv(path, rows, **dialect) -> None:
                   mode="w", newline="", encoding="utf-8")
 
 
-def write_certificates_csv(certs: list[Certificate], spec: NoiseSpec,
+def write_certificates_csv(certs: Certificates, spec: NoiseSpec,
                            config: SmoothingConfig, path) -> None:
+    """One row per target: its smoothed label (its counts' argmax) and
+    that label's count, the N samples its counts sum to, and p_lower, the
+    lower_bound_prob of its true-label count."""
+    rows = zip(certs.nodes.tolist(), certs.labels.tolist(),
+               certs.counts.tolist(), certs.counts.argmax(axis=1).tolist(),
+               certs.sizes.tolist())
     _write_csv(path, [
         ["node", "true_label", "smoothed_label", "top_count", "N", "alpha",
          "beta", "p_lower", "K"],
-        *([cert.node, cert.true_label, cert.smoothed_label,
-           int(cert.counts[cert.smoothed_label]), config.num_samples,
-           repr(config.alpha), repr(spec.beta), repr(cert.p_lower),
-           cert.certified_size] for cert in certs)])
+        *([node, label, top, row[top], sum(row), repr(config.alpha),
+           repr(spec.beta),
+           repr(lower_bound_prob(row[label], sum(row), config.alpha)), k]
+          for node, label, row, top, k in rows)])
 
 
 def read_certificates_csv(path) -> dict[int, int]:
@@ -473,12 +491,7 @@ def read_certificates_csv(path) -> dict[int, int]:
     missing node or K column, or a node or K that is not a nonnegative
     integer, is one naming the file and line.
     """
-    try:
-        with open(path, "r", newline="") as fh:
-            lines = list(fh)
-    except OSError as exc:
-        raise GraphLoadError(
-            f"{path}: cannot read certificate file: {exc}") from exc
+    lines = _read_file(path, "certificate file", list, newline="")
     reader = csv.DictReader(lines, restval="")
     if not {"node", "K"} <= set(reader.fieldnames or ()):
         raise GraphLoadError(f"{path}:1: need node and K columns, got "
@@ -531,11 +544,7 @@ def read_delta_edges(path, n: int | None = None) -> np.ndarray:
     or an index outside [0, n) is one naming the file and line.
     """
     pairs = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = list(fh)
-    except OSError as exc:
-        raise GraphLoadError(f"{path}: cannot read flip file: {exc}") from exc
+    lines = _read_file(path, "flip file", list, encoding="utf-8")
     for lineno, line in enumerate(lines, start=1):
         toks = line.split()
         if not toks:
@@ -577,14 +586,15 @@ def save_params(params: GCNParams, path) -> None:
 
 
 def load_params(path) -> GCNParams:
-    """Inverse of save_params; a file that is not a whole checkpoint is a
+    """Inverse of save_params; a file that cannot be read is a
+    GraphLoadError naming it, and one that is not a whole checkpoint a
     ParameterError.  Each matrix's size is checked against the bytes left
     before it is read, and no byte may follow W2."""
-    with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ParameterError(f"{path}: not a GCN checkpoint")
-        data = memoryview(fh.read())
-    offset = 0
+    data = memoryview(_read_file(path, "checkpoint", lambda fh: fh.read(),
+                                 mode="rb"))
+    if data[:len(_MAGIC)] != _MAGIC:
+        raise ParameterError(f"{path}: not a GCN checkpoint")
+    offset = len(_MAGIC)
 
     def read(size):
         nonlocal offset

@@ -56,16 +56,16 @@ class SmoothingConfig:
             raise ParameterError("alpha must lie in (0, 1)")
 
 
-@dataclass
-class Certificate:
-    """Per-node smoothing outcome."""
-    node: int
-    true_label: int
+@dataclass(frozen=True)
+class Certificates:
+    """The certification of target nodes, row i for nodes[i]: its true
+    label, its (targets, C) label counts, which sum to the samples that
+    row used, and its certified size K.  The smoothed label is a row's
+    argmax, and K == DEFAULT_RADIUS_CAP means the size scan saturated."""
+    nodes: np.ndarray
+    labels: np.ndarray
     counts: np.ndarray
-    smoothed_label: int
-    p_lower: float
-    certified_size: int
-    saturated: bool = False
+    sizes: np.ndarray
 
 
 def mix_seed(seed: int, salt: int) -> int:
@@ -138,8 +138,8 @@ def mc_counts_poisoning(adjacency: np.ndarray, features: np.ndarray,
     With size, the K of size_function(spec, config), training stops after
     the first block from which no further replicate can change any
     target's K (see _decided; the targets' labels must be known).  The
-    counts are then those of the replicates trained so far: good for
-    certified_sizes, but not for a bound, which needs all N.
+    counts are then those of the replicates trained so far: good for K,
+    but not for a bound, which needs all N.
     """
     targets = np.asarray(target_nodes, dtype=np.int64)
     counts = np.zeros((targets.size, num_classes), dtype=np.int64)
@@ -262,41 +262,26 @@ def size_function(spec: NoiseSpec, config: SmoothingConfig):
     """K(c): the certified size of a node whose true label won c of the N
     votes and is its smoothed label, certified_size of the count's
     lower_bound_prob, or 0 when that bound is at most 1/2.  K is a
-    non-decreasing step function of c.  K and K.bound, the count's
-    bound, are cached per count, so one K scans each count once."""
-    bound = functools.cache(lambda count: lower_bound_prob(
-        count, config.num_samples, config.alpha))
-
+    non-decreasing step function of c, cached per count, so one K scans
+    each count once."""
     @functools.cache
     def size(count: int) -> int:
-        p_low = bound(count)
+        p_low = lower_bound_prob(count, config.num_samples, config.alpha)
         return (certified_size(p_low, spec, DEFAULT_RADIUS_CAP)
                 if p_low > 0.5 else 0)
 
-    size.bound = bound
     return size
 
 
-def certified_sizes(counts: np.ndarray, true_labels: np.ndarray,
-                    size) -> np.ndarray:
-    """The certified size K of each row of label counts: size's K of the
-    row's true-label count where that label is the row's argmax, else 0."""
-    true_counts = counts[np.arange(len(counts)), true_labels]
+def certify_counts(counts: np.ndarray, target_nodes: np.ndarray,
+                   labels: np.ndarray, size) -> Certificates:
+    """The certificates of target_nodes from their rows of label counts:
+    K is size's K, a size_function's, of a row's true-label count where
+    that label is the row's argmax, else 0."""
+    nodes = np.asarray(target_nodes, dtype=np.int64)
+    true_labels = np.asarray(labels)[nodes]
+    true_counts = counts[np.arange(nodes.size), true_labels]
     wins = counts.argmax(axis=1) == true_labels
-    return np.array([size(c) if win else 0 for c, win
-                     in zip(true_counts.tolist(), wins)], dtype=np.int64)
-
-
-def certificates_from_counts(counts: np.ndarray, target_nodes: np.ndarray,
-                             labels: np.ndarray, size) -> list[Certificate]:
-    """One certificate per target node from its row of all N label counts,
-    with size's K, a size_function."""
-    targets = np.asarray(target_nodes, dtype=np.int64)
-    true_labels = np.asarray(labels)[targets]
-    sizes = certified_sizes(counts, true_labels, size)
-    return [Certificate(node, label, row.copy(), int(np.argmax(row)),
-                        size.bound(int(row[label])), k,
-                        k == DEFAULT_RADIUS_CAP)
-            for node, label, row, k in zip(targets.tolist(),
-                                           true_labels.tolist(), counts,
-                                           sizes.tolist())]
+    sizes = np.array([size(c) if win else 0 for c, win
+                      in zip(true_counts.tolist(), wins)], dtype=np.int64)
+    return Certificates(nodes, true_labels, counts, sizes)

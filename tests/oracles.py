@@ -30,10 +30,10 @@ from math import comb
 
 import numpy as np
 
-from certattack import (CROSS_ENTROPY, Certificate, GCNParams, NoiseSpec,
+from certattack import (CROSS_ENTROPY, Certificates, GCNParams, NoiseSpec,
                         NumericError, ParameterError, SmoothingConfig,
-                        TrainConfig, apply_perturbation,
-                        certificates_from_counts, forward, gcn,
+                        TrainConfig, apply_perturbation, certify_counts,
+                        forward, gcn,
                         mc_counts_evasion, mc_counts_poisoning, num_pairs,
                         predict_all, sample_noise, size_function,
                         weighted_logit_loss)
@@ -235,7 +235,7 @@ def certify_nodes(mode: str, *, target_nodes, labels, spec: NoiseSpec,
                   config: SmoothingConfig, adjacency=None, features=None,
                   params: GCNParams | None = None,
                   train_idx=None, train_config: TrainConfig | None = None,
-                  num_classes: int | None = None) -> list[Certificate]:
+                  num_classes: int | None = None) -> Certificates:
     """Monte Carlo certification of the targets under evasion or poisoning.
 
     Per node: counts -> smoothed label (argmax, ties to the lowest class)
@@ -258,8 +258,8 @@ def certify_nodes(mode: str, *, target_nodes, labels, spec: NoiseSpec,
                                      num_classes)
     else:
         raise ParameterError(f"unknown certification mode {mode!r}")
-    return certificates_from_counts(counts, target_nodes, labels,
-                                    size_function(spec, config))
+    return certify_counts(counts, target_nodes, labels,
+                          size_function(spec, config))
 
 
 def relax_scatter(adjacency, delta_relaxed):

@@ -518,10 +518,9 @@ class TestCertifier:
             adjacency=graph.adjacency, features=graph.features,
             params=params, train_idx=split.train, train_config=train_config,
             num_classes=graph.num_classes)
-        assert len(got) == len(want) > 0
-        for x, y in zip(got, want):
-            for name, value in vars(x).items():
-                assert np.array_equal(value, vars(y)[name]), name
+        assert got.nodes.size > 0
+        for name, value in vars(got).items():
+            assert np.array_equal(value, vars(want)[name]), name
 
     def test_unknown_mode_rejected(self, small_setup):
         graph, split, _, params = small_setup
@@ -582,7 +581,7 @@ def vote_script(rng, true_labels, true_counts, N, order):
 
 
 class TestRefreshStopRule:
-    """A poisoning refresh, certify(A, refresh=True), stops training
+    """A poisoning refresh, certify(A, stop=True), stops training
     replicates after the first block from which no further vote can change
     any target's K; its K vector equals the one from all N votes."""
 
@@ -627,11 +626,15 @@ class TestRefreshStopRule:
                 warnings.simplefilter("ignore")
                 certify, A, trained = scripted_certifier(
                     monkeypatch, votes, true_labels, spec, config, block)
-                full = [cert.certified_size for cert in certify(A)]
+                full = certify(A)
                 assert len(trained) == N
+                assert (full.counts.sum(axis=1) == N).all()
                 trained.clear()
-                assert certify(A, refresh=True).tolist() == full, (
+                stopped_certs = certify(A, stop=True)
+                assert np.array_equal(stopped_certs.sizes, full.sizes), (
                     true_counts, order)
+                assert (stopped_certs.counts.sum(axis=1)
+                        == len(trained)).all()
             assert trained == list(range(len(trained)))
             assert len(trained) % block == 0 or len(trained) == N
             stopped += len(trained) < N
@@ -654,9 +657,9 @@ class TestRefreshStopRule:
             blocks.append(len(noisy))
             return train_arrays(noisy, *rest)
 
-        full = [cert.certified_size for cert in certify(graph.adjacency)]
+        full = certify(graph.adjacency).sizes.tolist()
         monkeypatch.setattr(smoothing, "train_arrays", recording)
-        sizes = certify(graph.adjacency, refresh=True)
+        sizes = certify(graph.adjacency, stop=True).sizes
         assert sizes.tolist() == full
         assert sum(blocks) == (60 if max(full) > 0 else 10)
 
@@ -670,7 +673,7 @@ class TestRefreshStopRule:
         certify, A, trained = scripted_certifier(
             monkeypatch, votes, true_labels, NoiseSpec(0.9), config, 10,
             diverging=15)
-        assert certify(A, refresh=True).tolist() == [0, 0]
+        assert certify(A, stop=True).sizes.tolist() == [0, 0]
         assert trained == list(range(10))
         with pytest.raises(CertificationError, match="replicate 15 failed"):
             certify(A)

@@ -6,7 +6,8 @@ import pytest
 from scipy.special import expit
 
 from certattack import (NoiseSpec, certified_size, cli, init_params,
-                        lower_bound_prob, parse_config, save_params)
+                        lower_bound_prob, parse_config, save_params,
+                        smoothing)
 from certattack.cli import main
 from test_experiment import FLOAT_KEYS, readme_config, write_config
 
@@ -95,6 +96,25 @@ class TestCli:
         t, weights = reports[0].weights_history[0]
         a = parse_config(config).attack.scheme.a
         assert t == 0 and weights.tobytes() == expit(-a * sizes).tobytes()
+
+    def test_certify_trains_every_poisoning_replicate(self, tmp_path,
+                                                       monkeypatch):
+        # beta 0.999 and N = 20 give K(20) = 0, so an attack's refresh
+        # stops after its first block of 10; certify's bounds need all 20
+        config = readme_config(tmp_path, "poisoning")
+        trained = []
+        train_arrays = smoothing.train_arrays
+
+        def recording(noisy, *rest):
+            trained.append(len(noisy))
+            return train_arrays(noisy, *rest)
+
+        monkeypatch.setattr(smoothing, "train_arrays", recording)
+        assert main(["certify", "--config", str(config)]) == 0
+        assert sum(trained) == 20
+        with open(tmp_path / "out" / "certificates.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(row["N"] == "20" for row in rows)
 
     def test_train_and_certify_ignore_the_sweep_values(self, tmp_path):
         # an out-of-range sweep value fails its sweep cell, not train or
@@ -271,6 +291,14 @@ class TestCli:
         assert code == 1
         assert (f"config error: {files[missing]}: cannot read"
                 in capsys.readouterr().err)
+
+    def test_missing_checkpoint_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        params = tmp_path / "missing.bin"
+        assert main(["certify", "--config", str(config),
+                     "--params", str(params)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(params) in err
 
     def test_short_checkpoint_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path)

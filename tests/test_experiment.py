@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from certattack import (AttackReport, Certificate, NoiseSpec,
+from certattack import (AttackReport, Certificates, NoiseSpec,
                         ParameterError, Perturbation, SmoothingConfig,
                         build_dataset, init_params, parse_config,
                         prepare_cell, report_distribution, run_sweep,
@@ -204,8 +204,9 @@ WRITERS = {
     **dict.fromkeys(("raw_results.csv", "summary.csv", "timings.csv"),
                     sweep_writer),
     "certificates.csv": lambda tmp_path, v: write_certificates_csv(
-        [Certificate(node, 0, np.array([9 - v, 1 + v]), 0, 0.6, node)
-         for node in range(3)], NoiseSpec(0.9), SmoothingConfig(10, 0.1),
+        Certificates(np.arange(3), np.zeros(3, dtype=np.int64),
+                     np.array([[9 - v, 1 + v]] * 3), np.arange(3)),
+        NoiseSpec(0.9), SmoothingConfig(10, 0.1),
         tmp_path / "out" / "certificates.csv"),
     "attack_report.csv": lambda tmp_path, v: write_report_csv(AttackReport(
         Perturbation(np.zeros(3), 1, np.zeros(3, dtype=np.int8)), 1.0,
@@ -486,21 +487,22 @@ class TestFilesDataset:
 
 class TestReportDistribution:
     def test_empty_delta(self, tmp_path):
-        hist = report_distribution(np.zeros(6, dtype=np.int8), [],
+        hist = report_distribution(np.zeros(6, dtype=np.int8), {},
                                    tmp_path / "d.csv")
         assert hist == {}
 
     def test_single_edge_maps_to_both_endpoints(self):
         # pair (0, 1) perturbed; endpoints certified at K=1 and K=3
-        certs = [Certificate(0, 0, np.array([1]), 0, 0.9, 1),
-                 Certificate(1, 0, np.array([1]), 0, 0.9, 3)]
+        certs = Certificates(np.arange(2), np.zeros(2, dtype=np.int64),
+                             np.ones((2, 1), dtype=np.int64), np.array([1, 3]))
         delta = np.zeros(6, dtype=np.int8)
         delta[0] = 1
         hist = report_distribution(delta, certs)
         assert hist == {1: 1, 3: 1}
 
     def test_untracked_edge_goes_to_none(self):
-        certs = [Certificate(0, 0, np.array([1]), 0, 0.9, 1)]
+        certs = Certificates(np.arange(1), np.zeros(1, dtype=np.int64),
+                             np.ones((1, 1), dtype=np.int64), np.array([1]))
         delta = np.zeros(6, dtype=np.int8)
         delta[5] = 1  # pair (2, 3)
         hist = report_distribution(delta, certs)

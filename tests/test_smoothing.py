@@ -15,8 +15,8 @@ from certattack import (AttackConfig, CertificationError, DomainError,
                         GCNParams, Graph, NoiseSpec, NumericError,
                         ParameterError, SmoothingConfig, TrainConfig,
                         TrainingError, apply_perturbation,
-                        certificates_from_counts, certified_size,
-                        forward, init_params,
+                        certified_size, certify_counts, forward,
+                        init_params,
                         lower_bound_prob, mc_counts_evasion,
                         mc_counts_poisoning, mix_seed, noise_flips,
                         noisy_forward, num_pairs, predict_all,
@@ -485,25 +485,23 @@ class TestCertifiedSize:
         labels = np.array([0, 1, 0, 0, 0, 0])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            certs = certificates_from_counts(
+            certs = certify_counts(
                 counts, np.arange(6), labels,
                 size_function(NoiseSpec(0.6), SmoothingConfig(200, 0.1)))
-        sizes = [cert.certified_size for cert in certs]
-        assert sizes == [3, 3, 2, 0, 0, 3]
-        assert [cert.saturated for cert in certs] == [k == 3 for k in sizes]
+        assert certs.sizes.tolist() == [3, 3, 2, 0, 0, 3]
 
     def test_certificates_warn_when_saturated(self, monkeypatch):
         # attacks take K from the same size_function, so a saturated scan
         # inside an attack warns as well
         monkeypatch.setattr(smoothing, "DEFAULT_RADIUS_CAP", 3)
         with pytest.warns(UserWarning, match="saturated at the scan cap 3"):
-            certificates_from_counts(
+            certify_counts(
                 np.array([[200, 0]]), np.arange(1), np.zeros(1, dtype=np.int64),
                 size_function(NoiseSpec(0.6), SmoothingConfig(200, 0.1)))
 
     def test_certificates_compute_each_count_once(self, monkeypatch):
-        # true-label counts 150, 150, 150, 50, 190: three bounds, and two
-        # sizes, since a count of 50 certifies nothing
+        # true-label counts 150, 150, 150, 50, 190: the 50 loses its row,
+        # so two bounds and two sizes
         counts = np.array([[150, 50], [150, 50], [50, 150], [150, 50],
                            [190, 10]])
         labels = np.array([0, 0, 1, 1, 0])
@@ -514,15 +512,16 @@ class TestCertifiedSize:
                 calls.append(name)
                 return fn(*args)
             monkeypatch.setattr(smoothing, name, counted)
-        certs = certificates_from_counts(counts, np.arange(5), labels,
-                                         size_function(spec, config))
-        assert calls.count("lower_bound_prob") == 3
+        certs = certify_counts(counts, np.arange(5), labels,
+                               size_function(spec, config))
+        assert calls.count("lower_bound_prob") == 2
         assert calls.count("certified_size") == 2
-        for cert, row, label in zip(certs, counts, labels):
+        assert certs.labels.tolist() == labels.tolist()
+        assert np.array_equal(certs.counts, counts)
+        for k, row, label in zip(certs.sizes, counts, labels):
             p_low = lower_bound_prob(int(row[label]), 200, 0.1)
-            assert cert.p_lower == p_low
-            assert cert.certified_size == (
-                certified_size(p_low, spec) if row.argmax() == label else 0)
+            assert k == (certified_size(p_low, spec)
+                         if row.argmax() == label else 0)
 
 
 class TestSizeFunction:
@@ -543,7 +542,6 @@ class TestSizeFunction:
             sizes = [K(c) for c in range(N + 1)]
             for c in range(N + 1):
                 p_low = lower_bound_prob(c, N, alpha)
-                assert K.bound(c) == p_low
                 assert sizes[c] == (certified_size(p_low, spec, cap)
                                     if p_low > 0.5 else 0)
         assert sizes == sorted(sizes)  # K never falls as c grows
@@ -563,8 +561,8 @@ class TestSizeFunction:
         _, _, certify = attacks.certifier("evasion", graph, split, None,
                                           attack, params)
         certs = certify(graph.adjacency)
-        sizes = certify(graph.adjacency, refresh=True)  # the same counts
-        assert sizes.tolist() == [cert.certified_size for cert in certs]
+        again = certify(graph.adjacency, stop=True)  # the same counts
+        assert np.array_equal(again.sizes, certs.sizes)
         assert len(calls) == len(set(calls)) > 0
 
 
@@ -598,11 +596,14 @@ class TestCertifyNodes:
             "evasion", target_nodes=split.test, labels=graph.labels,
             spec=NoiseSpec(0.9), config=SmoothingConfig(50, 0.1, seed=0),
             adjacency=graph.adjacency, features=graph.features, params=params)
-        for cert in certs:
-            if cert.smoothed_label != cert.true_label:
-                assert cert.certified_size == 0
-            if cert.p_lower <= 0.5:
-                assert cert.certified_size == 0
+        smoothed = certs.counts.argmax(axis=1)
+        true_counts = certs.counts[np.arange(certs.nodes.size), certs.labels]
+        for label, top, c, k in zip(certs.labels, smoothed, true_counts,
+                                    certs.sizes):
+            if top != label:
+                assert k == 0
+            if lower_bound_prob(int(c), 50, 0.1) <= 0.5:
+                assert k == 0
 
     def test_unanimous_vote_gets_k1_at_beta09(self, tiny_graph):
         # composition: N_y=N=200, alpha=0.1 -> p_lower ~= 0.9886 -> K=1
@@ -614,12 +615,11 @@ class TestCertifyNodes:
             spec=NoiseSpec(0.9), config=SmoothingConfig(200, 0.1, seed=0),
             adjacency=tiny_graph.adjacency, features=tiny_graph.features,
             params=params)
-        unanimous = [c for c in certs
-                     if c.counts[c.true_label] == 200]
-        assert unanimous, "toy graph should produce unanimous votes"
-        for cert in unanimous:
-            assert cert.p_lower == pytest.approx(0.9885530946569389, abs=1e-9)
-            assert cert.certified_size == 1
+        unanimous = certs.counts[np.arange(4), certs.labels] == 200
+        assert unanimous.any(), "toy graph should produce unanimous votes"
+        assert lower_bound_prob(200, 200, 0.1) == pytest.approx(
+            0.9885530946569389, abs=1e-9)
+        assert (certs.sizes[unanimous] == 1).all()
 
     def test_deterministic(self, sbm_setup):
         graph, split, params = sbm_setup
@@ -630,9 +630,8 @@ class TestCertifyNodes:
                       params=params)
         a = certify_nodes("evasion", **kwargs)
         b = certify_nodes("evasion", **kwargs)
-        assert all(x.certified_size == y.certified_size and
-                   np.array_equal(x.counts, y.counts)
-                   for x, y in zip(a, b))
+        assert np.array_equal(a.sizes, b.sizes)
+        assert np.array_equal(a.counts, b.counts)
 
     def test_csv_export_columns(self, sbm_setup, tmp_path):
         graph, split, params = sbm_setup
@@ -644,9 +643,15 @@ class TestCertifyNodes:
                               features=graph.features, params=params)
         path = tmp_path / "certs.csv"
         write_certificates_csv(certs, spec, config, path)
-        header = path.read_text().splitlines()[0]
+        header, *lines = path.read_text().splitlines()
         assert header == ("node,true_label,smoothed_label,top_count,N,alpha,"
                           "beta,p_lower,K")
+        assert len(lines) == 5
+        for line, label, row in zip(lines, certs.labels, certs.counts):
+            cells = line.split(",")
+            assert cells[2:5] == [str(row.argmax()), str(row.max()), "30"]
+            assert cells[7] == repr(lower_bound_prob(int(row[label]), 30,
+                                                     0.1))
 
 
 class TestSoundness:
